@@ -213,6 +213,22 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 	return nil
 }
 
+// PeekSlot is Peek that also returns the line's slot, set·ways+way:
+// the position at which ForEach would visit it. Callers that resolve a
+// known address set line by line sort by slot to reproduce a
+// whole-cache walk's order. The slot is -1 when the line is absent.
+func (c *Cache) PeekSlot(addr mem.Addr) (*Line, int) {
+	la := mem.LineAddr(addr)
+	s := int((la >> mem.LineShift) & c.setMask)
+	set := c.sets[s]
+	for i := range set {
+		if set[i].State != Invalid && set[i].Addr == la {
+			return &set[i], s*c.cfg.Ways + i
+		}
+	}
+	return nil, -1
+}
+
 // Insert places a line with the given contents into the cache and
 // returns a pointer to it. If a victim had to be evicted, its copy is
 // returned with evicted=true. The caller (the machine layer) is

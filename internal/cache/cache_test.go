@@ -140,3 +140,22 @@ func TestStateString(t *testing.T) {
 		t.Error("state strings broken")
 	}
 }
+
+func TestPeekSlotIsForEachPosition(t *testing.T) {
+	// 4 sets x 4 ways; the addresses land in several sets and ways.
+	c := New(Config{Name: "t", SizeBytes: 16 * mem.LineSize, Ways: 4, LatencyCycles: 1})
+	for _, a := range []mem.Addr{0x1c0, 0x40, 0x400, 0x80, 0x7c0, 0x0, 0x440, 0x100} {
+		c.Insert(Line{Addr: a, State: Exclusive})
+	}
+	slot := 0
+	c.ForEach(func(l *Line) {
+		got, s := c.PeekSlot(l.Addr + 5)
+		if got != l || s < slot {
+			t.Errorf("PeekSlot(%#x) = %p, slot %d; ForEach visits %p after slot %d", l.Addr, got, s, l, slot)
+		}
+		slot = s + 1
+	})
+	if l, s := c.PeekSlot(0x12340); l != nil || s != -1 {
+		t.Errorf("PeekSlot of an absent line = %v, %d", l, s)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -30,7 +31,7 @@ type retainedTx struct {
 	id   uint8 // transaction ID (0..NumTxIDs-1)
 	seq  uint64
 	sig  *signature.Signature
-	lazy map[mem.Addr]struct{} // line addresses still to persist
+	lazy lazySet // line addresses still to persist
 }
 
 // txState is the engine's view of the currently executing transaction.
@@ -39,8 +40,8 @@ type txState struct {
 	id          uint8
 	seq         uint64
 	sig         *signature.Signature
-	lazyLines   map[mem.Addr]struct{} // lines with persist bit clear
-	writeLines  map[mem.Addr]uint8    // line -> ws class bits
+	lazyLines   lazySet               // lines with persist bit clear
+	writeLines  lineMap               // line -> ws class bits
 	loggedWords map[mem.Addr]struct{} // words logged this transaction
 }
 
@@ -84,7 +85,7 @@ type Engine struct {
 	// write-set lines (class bits ORed) until the close's data flush;
 	// epochLogged their non-lazy logged lines, which gate evictions
 	// (undo: unsynced records; redo: writeback suppression).
-	epochPending map[mem.Addr]uint8
+	epochPending lineMap
 	epochLogged  map[mem.Addr]struct{}
 	epochKeyBuf  []mem.Addr
 	// group coordinates multi-core closes: non-nil only on clustered
@@ -101,7 +102,7 @@ type Engine struct {
 	// lazyPool recycles the per-transaction lazy-line sets that Commit
 	// hands off to retainedTx entries, so a steady stream of lazy
 	// transactions allocates no new maps.
-	lazyPool []map[mem.Addr]struct{}
+	lazyPool []lazySet
 
 	// scratch is the per-transaction arena for log-record payloads.
 	// Records never outlive their transaction (the sink drains at commit
@@ -110,26 +111,19 @@ type Engine struct {
 	scratch    []byte
 	scratchOff int
 
-	// lazyKeyBuf and wsKeyBuf are reusable scratch slices for iterating
-	// the per-transaction line maps in address order: map iteration
-	// order is randomized, and the persist sequence it would produce
-	// leaks into the event trace (WPQ enqueue addresses), breaking
-	// replay determinism. Two buffers because a commit walks the lazy
-	// set and the write set in overlapping scopes.
-	lazyKeyBuf []mem.Addr
-	wsKeyBuf   []mem.Addr
-}
+	// wsKeyBuf is reusable scratch holding the write set in address
+	// order, the order in which the redo commit persists it.
+	wsKeyBuf []mem.Addr
 
-// sortedKeys collects m's line addresses into buf (reused across calls)
-// and returns them sorted, so map-backed persist loops run in a
-// deterministic address order.
-func sortedKeys[V any](buf []mem.Addr, m map[mem.Addr]V) []mem.Addr {
-	buf = buf[:0]
-	for la := range m { //slpmt:determinism-ok: collected keys are sorted below
-		buf = append(buf, la)
-	}
-	slices.Sort(buf)
-	return buf
+	// hitBuf is the commit scan's scratch: the transaction's lines
+	// resolved in the private caches (see txPrivateLines).
+	hitBuf []privHit
+	// abandoned holds, per transaction ID, the log-free lines an aborted
+	// W=1 transaction left in the private caches with its ID and a set
+	// persist bit. Abort keeps them (log-free updates are the caller's
+	// to repair), so the next commit scan under the same ID visits them
+	// too, as the hardware's scan by ID would.
+	abandoned [NumTxIDs][]mem.Addr
 }
 
 // New wires an engine to a machine. The machine's eviction hooks are
@@ -142,9 +136,13 @@ func New(m *machine.Core, cfg Config) *Engine {
 		cfg:        cfg,
 		m:          m,
 		suppressed: make(map[mem.Addr]struct{}),
+		cur: txState{
+			writeLines:  newLineMap(),
+			loggedWords: make(map[mem.Addr]struct{}),
+		},
 	}
 	if cfg.CommitWindow > 1 {
-		e.epochPending = make(map[mem.Addr]uint8)
+		e.epochPending = newLineMap()
 		e.epochLogged = make(map[mem.Addr]struct{})
 	}
 	e.w = newLogWriter(m)
@@ -263,26 +261,15 @@ func (e *Engine) Begin() {
 	// Reuse the per-transaction tracking maps and the record-payload
 	// arena: Commit hands lazyLines off to a retainedTx (replaced from
 	// the recycle pool here), while writeLines/loggedWords never escape
-	// the transaction and are merely cleared.
+	// the transaction and are merely reset.
+	e.resetTxSets()
+	if e.cur.lazyLines.m == nil {
+		e.cur.lazyLines = e.takeLazySet()
+	}
 	e.cur.active = true
 	e.cur.id = id
 	e.cur.seq = e.seq
 	e.cur.sig = &e.sigs[id]
-	if e.cur.lazyLines == nil {
-		e.cur.lazyLines = e.takeLazySet()
-	} else {
-		clear(e.cur.lazyLines)
-	}
-	if e.cur.writeLines == nil {
-		e.cur.writeLines = make(map[mem.Addr]uint8)
-	} else {
-		clear(e.cur.writeLines)
-	}
-	if e.cur.loggedWords == nil {
-		e.cur.loggedWords = make(map[mem.Addr]struct{})
-	} else {
-		clear(e.cur.loggedWords)
-	}
 	e.scratchOff = 0
 	e.cur.sig.Clear()
 	mode := uint64(logfmt.ModeUndo)
@@ -308,6 +295,26 @@ func (e *Engine) Begin() {
 	})
 	e.m.PopAsync()
 	e.m.Stats.TxBegins++
+}
+
+// resetTxSets empties the ended transaction's tracking sets in time
+// proportional to its write set: every lazy line is a write-set line,
+// and every logged word lies in a logged write-set line.
+func (e *Engine) resetTxSets() {
+	for _, la := range e.cur.writeLines.keys {
+		delete(e.cur.lazyLines.m, la)
+		if e.cur.writeLines.m[la]&wsLogged == 0 {
+			continue
+		}
+		if e.cfg.Granularity == Line {
+			delete(e.cur.loggedWords, la)
+			continue
+		}
+		for w := 0; w < mem.WordsPerLine; w++ {
+			delete(e.cur.loggedWords, la+mem.Addr(w*mem.WordSize))
+		}
+	}
+	e.cur.writeLines.reset()
 }
 
 // beginEpochTxn threads a new transaction into the core's epoch
@@ -375,7 +382,7 @@ func (e *Engine) onCoherenceTake(addr mem.Addr) bool {
 	}
 	if e.cfg.Mode == Redo {
 		if e.cur.active {
-			if cls, ok := e.cur.writeLines[addr]; ok && cls&wsLogged != 0 {
+			if cls, ok := e.cur.writeLines.m[addr]; ok && cls&wsLogged != 0 {
 				e.suppressed[addr] = struct{}{}
 				return false
 			}
@@ -486,12 +493,12 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	}
 	if bits.Persist {
 		l.Persist = true
-		delete(e.cur.lazyLines, line)
+		delete(e.cur.lazyLines.m, line)
 	} else if !l.Persist {
 		// storeT with lazy set and no earlier eager store to this line:
 		// the line is lazily persistent (§III-C1; a later store or
 		// eager storeT cancels this, handled above).
-		e.cur.lazyLines[line] = struct{}{}
+		e.cur.lazyLines.m[line] = struct{}{}
 	}
 	l.TxID = lineID(e.cur.id)
 	e.cur.sig.Add(line)
@@ -499,7 +506,7 @@ func (e *Engine) storeOne(a mem.Addr, data []byte, bits isa.Bits) {
 	if bits.Log {
 		cls = wsLogged
 	}
-	e.cur.writeLines[line] |= cls
+	e.cur.writeLines.or(line, cls) //slpmt:noalloc-escape-ok: key-list growth is amortized; steady state reuses the slice
 	e.m.WriteMem(a, data)
 }
 
@@ -621,8 +628,10 @@ func (e *Engine) persistRetainedThrough(idx int) {
 	defer e.m.PopAsync()
 	for i := 0; i <= idx; i++ {
 		r := &e.retained[i]
-		e.lazyKeyBuf = sortedKeys(e.lazyKeyBuf, r.lazy)
-		for _, la := range e.lazyKeyBuf {
+		for _, la := range r.lazy.keys {
+			if _, ok := r.lazy.m[la]; !ok {
+				continue // written back since the commit
+			}
 			if e.m.PersistLine(la) {
 				e.m.Stats.LazyLinePersists++
 			} else {
@@ -630,22 +639,22 @@ func (e *Engine) persistRetainedThrough(idx int) {
 			}
 		}
 		r.sig.Clear()
-		clear(r.lazy)
+		r.lazy.reset()
 		e.lazyPool = append(e.lazyPool, r.lazy)
-		r.lazy = nil
+		r.lazy = lazySet{}
 	}
 	e.retained = append(e.retained[:0], e.retained[idx+1:]...)
 }
 
 // takeLazySet returns an empty lazy-line set, recycled from released
 // retained transactions when possible.
-func (e *Engine) takeLazySet() map[mem.Addr]struct{} {
+func (e *Engine) takeLazySet() lazySet {
 	if n := len(e.lazyPool); n > 0 {
-		m := e.lazyPool[n-1]
+		s := e.lazyPool[n-1]
 		e.lazyPool = e.lazyPool[:n-1]
-		return m
+		return s
 	}
-	return make(map[mem.Addr]struct{})
+	return lazySet{m: make(map[mem.Addr]struct{})}
 }
 
 // DrainLazy persists every retained transaction's lazy data — the effect
@@ -664,7 +673,7 @@ func (e *Engine) DrainLazy() {
 func (e *Engine) RetainedLazyLines() int {
 	n := 0
 	for i := range e.retained {
-		n += len(e.retained[i].lazy)
+		n += len(e.retained[i].lazy.m)
 	}
 	return n
 }
@@ -726,7 +735,7 @@ func (e *Engine) onL2Evict(l *cache.Line) {
 	}
 	if e.cfg.Mode == Redo {
 		if e.cur.active {
-			if cls, ok := e.cur.writeLines[l.Addr]; ok && cls&wsLogged != 0 {
+			if cls, ok := e.cur.writeLines.m[l.Addr]; ok && cls&wsLogged != 0 {
 				// Redo-logged data must not reach PM before the commit
 				// record; the line stays dirty and its L3 writeback is
 				// suppressed by the filter.
@@ -749,7 +758,7 @@ func (e *Engine) onL2Evict(l *cache.Line) {
 // natural cache overflow.
 func (e *Engine) onL3Writeback(addr mem.Addr) {
 	for i := range e.retained {
-		delete(e.retained[i].lazy, addr)
+		delete(e.retained[i].lazy.m, addr)
 	}
 }
 
@@ -757,7 +766,7 @@ func (e *Engine) onL3Writeback(addr mem.Addr) {
 // transaction's logged lines.
 func (e *Engine) writebackFilter(addr mem.Addr) bool {
 	if e.cur.active {
-		if cls, ok := e.cur.writeLines[addr]; ok && cls&wsLogged != 0 {
+		if cls, ok := e.cur.writeLines.m[addr]; ok && cls&wsLogged != 0 {
 			e.suppressed[addr] = struct{}{}
 			return false
 		}
@@ -783,8 +792,10 @@ func (e *Engine) Commit() {
 	// Discard buffered records belonging to lazily persistent lines
 	// (§III-B2): their data will not persist at commit, so an undo
 	// record for them is unnecessary — the data is recoverable anyway.
-	e.lazyKeyBuf = sortedKeys(e.lazyKeyBuf, e.cur.lazyLines)
-	for _, la := range e.lazyKeyBuf {
+	if len(e.cur.lazyLines.m) > 0 {
+		e.cur.lazyLines.list(e.cur.writeLines.keys)
+	}
+	for _, la := range e.cur.lazyLines.keys {
 		if n := e.sink.discardLine(la); n > 0 {
 			e.m.Stats.LogRecordsDiscarded += uint64(n)
 		}
@@ -796,14 +807,13 @@ func (e *Engine) Commit() {
 	} else {
 		e.commitRedo()
 	}
+	e.abandoned[e.cur.id] = e.abandoned[e.cur.id][:0] // retired by the scan
 	// Retain the working set while lazy data is volatile (§III-C). The
 	// lazy set's ownership moves to the retained entry; Begin replaces
 	// it from the recycle pool.
-	if len(e.cur.lazyLines) > 0 {
-		e.m.Stats.LazyLinesDeferred += uint64(len(e.cur.lazyLines))
-		// lazyKeyBuf still holds the sorted lazy set from the discard
-		// walk above (the commit stages do not touch it).
-		for _, la := range e.lazyKeyBuf {
+	if len(e.cur.lazyLines.m) > 0 {
+		e.m.Stats.LazyLinesDeferred += uint64(len(e.cur.lazyLines.m))
+		for _, la := range e.cur.lazyLines.keys {
 			e.m.Trace(trace.KLazyDefer, la, e.cur.seq)
 		}
 		e.retained = append(e.retained, retainedTx{
@@ -812,7 +822,7 @@ func (e *Engine) Commit() {
 			sig:  e.cur.sig,
 			lazy: e.cur.lazyLines,
 		})
-		e.cur.lazyLines = nil
+		e.cur.lazyLines = lazySet{}
 	} else {
 		e.cur.sig.Clear()
 	}
@@ -866,12 +876,12 @@ func (e *Engine) commitUndo() {
 func (e *Engine) commitRedo() {
 	// 1. Log-free lines must reach PM before the logged data (Fig. 4).
 	prev := e.m.SetCause(profile.CauseCommitData)
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
+	e.wsKeyBuf = e.cur.writeLines.sorted(e.wsKeyBuf)
 	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged != 0 {
+		if e.cur.writeLines.m[la]&wsLogged != 0 {
 			continue
 		}
-		if _, lazy := e.cur.lazyLines[la]; lazy {
+		if _, lazy := e.cur.lazyLines.m[la]; lazy {
 			continue
 		}
 		if e.m.PersistLine(la) {
@@ -890,10 +900,10 @@ func (e *Engine) commitRedo() {
 	// holds the sorted write set from stage 1).
 	prev = e.m.SetCause(profile.CauseCommitData)
 	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged == 0 {
+		if e.cur.writeLines.m[la]&wsLogged == 0 {
 			continue
 		}
-		if _, lazy := e.cur.lazyLines[la]; lazy {
+		if _, lazy := e.cur.lazyLines.m[la]; lazy {
 			continue
 		}
 		if _, wasSuppressed := e.suppressed[la]; wasSuppressed {
@@ -917,21 +927,17 @@ func (e *Engine) commitRedo() {
 // the close's data flush. The transaction's eager write-set lines and
 // its non-lazy logged lines accumulate in the epoch sets.
 func (e *Engine) commitGrouped() {
-	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID == id {
-			l.LogBits = 0
-		}
-	})
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
-	for _, la := range e.wsKeyBuf {
-		if _, lazy := e.cur.lazyLines[la]; lazy {
+	for _, h := range e.txPrivateLines() {
+		h.line.LogBits = 0
+	}
+	for _, la := range e.cur.writeLines.keys {
+		if _, lazy := e.cur.lazyLines.m[la]; lazy {
 			// Lazy lines keep their W=1 contract: no persist at any
 			// commit point, records discarded, structure-recoverable.
 			continue
 		}
-		cls := e.cur.writeLines[la]
-		e.epochPending[la] |= cls
+		cls := e.cur.writeLines.m[la]
+		e.epochPending.or(la, cls)
 		if cls&wsLogged != 0 {
 			e.epochLogged[la] = struct{}{}
 		}
@@ -997,7 +1003,7 @@ func (e *Engine) closeEpoch() {
 // if the crash fell in between.
 func (e *Engine) prepareSync() {
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
-	e.epochKeyBuf = sortedKeys(e.epochKeyBuf, e.epochPending)
+	e.epochKeyBuf = e.epochPending.sorted(e.epochKeyBuf)
 
 	// The window's one drain + sync; the barrier charges to log.epoch
 	// (the AckBarrier picks up the active context) so the amortization
@@ -1023,7 +1029,7 @@ func (e *Engine) preparePersist() {
 	prevEpoch := e.m.SetCause(profile.CauseLogEpoch)
 	prev := e.m.SetCause(profile.CauseCommitData)
 	for _, la := range e.epochKeyBuf {
-		if e.cfg.Mode == Redo && e.epochPending[la]&wsLogged != 0 {
+		if e.cfg.Mode == Redo && e.epochPending.m[la]&wsLogged != 0 {
 			continue
 		}
 		if e.m.PersistLine(la) {
@@ -1086,7 +1092,7 @@ func (e *Engine) finishClose() {
 		prev = e.m.SetCause(profile.CauseCommitData)
 		var skipped []mem.Addr
 		for _, la := range e.epochKeyBuf {
-			if e.epochPending[la]&wsLogged == 0 {
+			if e.epochPending.m[la]&wsLogged == 0 {
 				continue
 			}
 			if e.activeLogged(la) {
@@ -1119,8 +1125,10 @@ func (e *Engine) finishClose() {
 	// crash during the close leaves closedSeq at the previous epoch,
 	// and the durable image decides which prefix actually survived.
 	e.closedSeq = e.epochLastSeq
-	clear(e.epochPending)
-	clear(e.epochLogged)
+	for _, la := range e.epochPending.keys { // epochLogged ⊆ epochPending
+		delete(e.epochLogged, la)
+	}
+	e.epochPending.reset()
 	e.epochTxns = 0
 	if reopen {
 		e.epochClk = e.m.Clk
@@ -1142,7 +1150,7 @@ func (e *Engine) activeLogged(la mem.Addr) bool {
 	if !e.cur.active {
 		return false
 	}
-	cls, ok := e.cur.writeLines[la]
+	cls, ok := e.cur.writeLines.m[la]
 	return ok && cls&wsLogged != 0
 }
 
@@ -1186,22 +1194,66 @@ func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
 // pending lines after the close's data flush, mirroring the W=1
 // commit scan's metadata clear.
 func (e *Engine) clearEpochPersistBits() {
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if _, ok := e.epochPending[l.Addr]; ok {
+	for _, la := range e.epochPending.keys {
+		if l, _ := e.privateLine(la); l != nil {
 			l.Persist = false
 		}
-	})
+	}
 }
 
-// persistMarkedLines scans the private caches (the hardware's commit
-// scan, §II) persisting every line whose persist bit is set and clearing
-// the transaction's metadata.
-func (e *Engine) persistMarkedLines() {
+// privHit is one of the transaction's lines found in the private
+// caches, with its position in the commit scan's walk order.
+type privHit struct {
+	pos  uint64 // level<<32 | set·ways+way
+	line *cache.Line
+}
+
+// privateLine returns the line holding la in this core's private caches
+// and its position in an L1-then-L2, (set, way)-ordered walk, or nil.
+// A line lives in exactly one level, so the first hit is the only one.
+func (e *Engine) privateLine(la mem.Addr) (*cache.Line, uint64) {
+	if l, slot := e.m.L1.PeekSlot(la); l != nil {
+		return l, 1<<32 | uint64(slot)
+	}
+	if l, slot := e.m.L2.PeekSlot(la); l != nil {
+		return l, 2<<32 | uint64(slot)
+	}
+	return nil, 0
+}
+
+// txPrivateLines models the hardware's commit scan (§II): it returns the
+// private-cache lines that carry the running transaction's ID. Only
+// lines the transaction stored to can carry it — stores are the one
+// place the ID is set, a line leaving L2 loses its metadata, and every
+// commit scan clears the bits it acts on — so the scan resolves the
+// write set (plus lines an aborted same-ID predecessor left marked)
+// instead of walking every private line. The hits come back in no
+// particular order; callers whose actions are ordered sort by pos.
+func (e *Engine) txPrivateLines() []privHit {
 	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID != id {
-			return
+	hits := e.hitBuf[:0]
+	// A line both abandoned and rewritten is visited twice; every action
+	// on it is idempotent, so the second visit is a no-op.
+	for _, lines := range [2][]mem.Addr{e.cur.writeLines.keys, e.abandoned[e.cur.id]} {
+		for _, la := range lines {
+			if l, pos := e.privateLine(la); l != nil && l.TxID == id {
+				hits = append(hits, privHit{pos, l})
+			}
 		}
+	}
+	e.hitBuf = hits
+	return hits
+}
+
+// persistMarkedLines is the undo commit scan: it persists every line of
+// the transaction whose persist bit is set and clears its metadata. The
+// persists go out in the hardware walk's (level, set, way) order, which
+// the WPQ timing depends on.
+func (e *Engine) persistMarkedLines() {
+	hits := e.txPrivateLines()
+	slices.SortFunc(hits, func(a, b privHit) int { return cmp.Compare(a.pos, b.pos) })
+	for _, h := range hits {
+		l := h.line
 		if l.Persist {
 			if e.m.PersistLine(l.Addr) {
 				e.m.Stats.EagerLinePersists++
@@ -1209,20 +1261,16 @@ func (e *Engine) persistMarkedLines() {
 			l.Persist = false
 		}
 		l.LogBits = 0
-	})
+	}
 }
 
 // clearTxMeta clears persist/log bits of the transaction's lines after a
 // redo commit.
 func (e *Engine) clearTxMeta() {
-	id := lineID(e.cur.id)
-	e.m.ForEachPrivate(func(level int, l *cache.Line) {
-		if l.TxID != id {
-			return
-		}
-		l.Persist = false
-		l.LogBits = 0
-	})
+	for _, h := range e.txPrivateLines() {
+		h.line.Persist = false
+		h.line.LogBits = 0
+	}
 }
 
 // writeCommitMarker persists the committed state in the log header.
@@ -1342,10 +1390,15 @@ func (e *Engine) Abort() {
 
 	// Invalidate the transaction's logged lines and restore their
 	// volatile contents from (now reverted) PM. Log-free lines keep
-	// their updates; the caller's recovery reverts them structurally.
-	e.wsKeyBuf = sortedKeys(e.wsKeyBuf, e.cur.writeLines)
-	for _, la := range e.wsKeyBuf {
-		if e.cur.writeLines[la]&wsLogged == 0 {
+	// their updates and metadata (at W=1 the next commit scan under
+	// this ID persists them; see abandoned); the caller's recovery
+	// reverts them structurally.
+	id := lineID(e.cur.id)
+	for _, la := range e.cur.writeLines.keys {
+		if e.cur.writeLines.m[la]&wsLogged == 0 {
+			if l, _ := e.privateLine(la); !e.grouped() && l != nil && l.TxID == id && l.Persist {
+				e.abandoned[e.cur.id] = append(e.abandoned[e.cur.id], la)
+			}
 			continue
 		}
 		e.m.DropLine(la)
@@ -1373,12 +1426,7 @@ func (e *Engine) Abort() {
 // WriteSetLines returns the current transaction's write-set line
 // addresses (tests and the compiler's trace replay use this).
 func (e *Engine) WriteSetLines() []mem.Addr {
-	out := make([]mem.Addr, 0, len(e.cur.writeLines))
-	for la := range e.cur.writeLines { //slpmt:determinism-ok: collected keys are sorted below
-		out = append(out, la)
-	}
-	slices.Sort(out)
-	return out
+	return e.cur.writeLines.sorted(nil)
 }
 
 // ContextSwitch models the OS-visible part of a thread switch (§V-C):

@@ -82,7 +82,7 @@ func (g *EpochGroup) activeLogged(la mem.Addr) bool {
 		if !e.cur.active {
 			continue
 		}
-		if cls, ok := e.cur.writeLines[la]; ok && cls&wsLogged != 0 {
+		if cls, ok := e.cur.writeLines.m[la]; ok && cls&wsLogged != 0 {
 			return true
 		}
 	}

@@ -144,3 +144,30 @@ func BenchmarkMicroSignature(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMicroCommitAfterLargeTxn measures small transactions on a
+// fresh engine and on one that has just run a 10k-line transaction.
+// The per-transaction bookkeeping must scale with the transaction, not
+// with the largest one seen, so both report the same ns/op.
+func BenchmarkMicroCommitAfterLargeTxn(b *testing.B) {
+	for _, large := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("after%d", large), func(b *testing.B) {
+			e, m := newEng(slpmtCfg())
+			base := m.Layout.HeapBase
+			if large > 0 {
+				e.Begin()
+				for i := 0; i < large; i++ {
+					e.StoreU64(base+mem.Addr(i)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+				}
+				e.Commit()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Begin()
+				e.StoreU64(base+mem.Addr(i%64)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+				e.Commit()
+			}
+		})
+	}
+}

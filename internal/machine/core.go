@@ -674,14 +674,6 @@ func (c *Core) FindCached(addr mem.Addr) (int, *cache.Line) {
 	return 0, nil
 }
 
-// ForEachPrivate invokes fn on every line resident in the private caches
-// (L1 and L2) — the scan the hardware performs at commit and when
-// persisting lazy data (§III-C2).
-func (c *Core) ForEachPrivate(fn func(level int, l *cache.Line)) {
-	c.L1.ForEach(func(l *cache.Line) { fn(1, l) })
-	c.L2.ForEach(func(l *cache.Line) { fn(2, l) })
-}
-
 // FlushAllDirty persists every dirty line in this core's hierarchy view
 // (graceful shutdown): the private caches and the shared L3. It is not
 // part of the measured execution; harnesses snapshot counters before

@@ -18,7 +18,7 @@ func TestOutOfOrderTimestampsKeepQueueSorted(t *testing.T) {
 	for i, now := range times {
 		d.PersistAsync(now, uint64(64*i), zline())
 	}
-	for i := 1; i < len(d.queue); i++ {
+	for i := d.head + 1; i < len(d.queue); i++ {
 		if d.queue[i-1].finish > d.queue[i].finish {
 			t.Fatalf("queue unsorted at %d: %d > %d", i, d.queue[i-1].finish, d.queue[i].finish)
 		}

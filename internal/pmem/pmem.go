@@ -104,8 +104,11 @@ type Device struct {
 	cfg     Config
 	durable []byte
 
-	// WPQ state.
+	// WPQ state. The live entries are queue[head:], sorted by finish
+	// time; drained entries stay below head until compaction reclaims
+	// them (see drainUpTo).
 	queue      []entry
+	head       int
 	usedBytes  int
 	lastFinish uint64   // finish time of the most recently enqueued entry
 	lastWaited uint64   // WPQ-space wait of the most recent persist call
@@ -210,9 +213,12 @@ func (d *Device) ReadCycles() uint64 { return d.cfg.ReadCycles }
 
 // drainUpTo retires queue entries whose finish time is <= now. The
 // queue is kept sorted by finish time (see enqueue), so retirement is a
-// prefix pop.
+// prefix pop: the head index advances past the retired entries. The
+// live entries move back to the front of the backing array only once
+// the retired prefix outgrows them, so each entry is moved O(1) times
+// amortized, where shifting on every drain would cost O(backlog).
 func (d *Device) drainUpTo(now uint64) {
-	i := 0
+	i := d.head
 	for i < len(d.queue) && d.queue[i].finish <= now {
 		e := d.queue[i]
 		d.occAdvance(e.finish)
@@ -220,8 +226,11 @@ func (d *Device) drainUpTo(now uint64) {
 		d.tr.Emit(e.core, e.finish, trace.KWPQDrain, e.addr, uint64(d.usedBytes)|d.sockTag)
 		i++
 	}
-	if i > 0 {
-		d.queue = append(d.queue[:0], d.queue[i:]...)
+	d.head = i
+	if live := len(d.queue) - i; live == 0 {
+		d.queue, d.head = d.queue[:0], 0
+	} else if i > live {
+		d.queue, d.head = append(d.queue[:0], d.queue[i:]...), 0
 	}
 	d.occAdvance(now)
 }
@@ -235,7 +244,7 @@ func (d *Device) drainUpTo(now uint64) {
 func (d *Device) enqueue(e entry, t uint64) {
 	d.occAdvance(t)
 	d.queue = append(d.queue, e)
-	for i := len(d.queue) - 1; i > 0 && d.queue[i-1].finish > d.queue[i].finish; i-- {
+	for i := len(d.queue) - 1; i > d.head && d.queue[i-1].finish > d.queue[i].finish; i-- {
 		d.queue[i-1], d.queue[i] = d.queue[i], d.queue[i-1]
 	}
 	d.usedBytes += e.bytes
@@ -289,10 +298,10 @@ func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 	var waited uint64
 	for d.usedBytes+n > d.cfg.WPQBytes {
 		// Wait for the oldest entry to drain.
-		wait := d.queue[0].finish - t
+		wait := d.queue[d.head].finish - t
 		stall += wait
 		waited += wait
-		t = d.queue[0].finish
+		t = d.queue[d.head].finish
 		d.drainUpTo(t)
 	}
 	if waited > 0 {
@@ -340,10 +349,10 @@ func (d *Device) PersistStream(now uint64, addr uint64, data []byte) (stall uint
 	d.drainUpTo(t)
 	var waited uint64
 	for d.usedBytes+n > d.cfg.WPQBytes {
-		wait := d.queue[0].finish - t
+		wait := d.queue[d.head].finish - t
 		stall += wait
 		waited += wait
-		t = d.queue[0].finish
+		t = d.queue[d.head].finish
 		d.drainUpTo(t)
 	}
 	if waited > 0 {
@@ -414,17 +423,24 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	// stalled — the pending line parks in the cache hierarchy. The
 	// delayed start pushes this and subsequent entries' finish times
 	// out, so later synchronous persists see the backlog.
+	//
+	// The slot frees when the oldest entries have drained far enough
+	// that the rest fit beside the new one: the wait ends at the finish
+	// of the youngest entry that must still go. The queue is sorted by
+	// finish, so that entry is found from the tail by keeping the
+	// entries that fit in WPQBytes-n — a scan bounded by the WPQ size,
+	// not by the async backlog (an entry larger than the WPQ waits for
+	// the whole queue).
 	tStart := t
 	if d.usedBytes+n > d.cfg.WPQBytes {
-		freed := 0
-		for _, e := range d.queue {
-			freed += e.bytes
-			if e.finish > tStart {
-				tStart = e.finish
-			}
-			if d.usedBytes+n-freed <= d.cfg.WPQBytes {
-				break
-			}
+		keep := d.cfg.WPQBytes - n
+		j := len(d.queue) - 1
+		for j > d.head && d.queue[j].bytes <= keep {
+			keep -= d.queue[j].bytes
+			j--
+		}
+		if j >= d.head && d.queue[j].finish > tStart {
+			tStart = d.queue[j].finish
 		}
 	}
 	fin := d.bankFinish(tStart)
@@ -457,7 +473,7 @@ func (d *Device) DrainAll(now uint64) uint64 {
 // cycle now.
 func (d *Device) QueueDepth(now uint64) int {
 	d.drainUpTo(now)
-	return len(d.queue)
+	return len(d.queue) - d.head
 }
 
 // Read copies n bytes of the durable image at addr into p. This is the
@@ -510,6 +526,7 @@ func (d *Device) Restore(img *Image) {
 // controller state a restore discards. The durable image is untouched.
 func (d *Device) clearVolatile() {
 	d.queue = d.queue[:0]
+	d.head = 0
 	d.usedBytes = 0
 	d.lastFinish = 0
 	d.recent = d.recent[:0]

@@ -1,7 +1,9 @@
 #!/bin/sh
 # check.sh - the repo's pre-merge gate: formatting, vet (go vet plus
 # the slpmtvet analyzer suite), build, full test suite, race-detector
-# passes, and a persist-order sanitizer replay of a 2-core run.
+# passes, a persist-order sanitizer replay of a 2-core run, the
+# perf-regression baselines (every simulated metric byte-identical) and
+# a one-iteration smoke run of the micro-benchmarks.
 #
 # Usage: scripts/check.sh   (or: make check)
 set -eu
@@ -43,5 +45,23 @@ go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 echo "== critical path (streamed-vs-buffered byte-match + conservation) =="
 go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 	-trace-stream stream-out -stream-check -critpath -hotlines 10
+
+echo "== baselines (make compare; every simulated metric byte-identical) =="
+# make compare fails on drift past its tolerance; this gate also fails
+# on drift within it. Simulated results are exactly deterministic, so
+# any drift is a model change, and it must come with refreshed
+# baselines (make baseline).
+if ! compare_out=$(make --no-print-directory compare 2>&1); then
+	echo "$compare_out" >&2
+	exit 1
+fi
+echo "$compare_out" | grep -E '^(PASS|FAIL) '
+if echo "$compare_out" | grep -Eq ' [1-9][0-9]* drifted'; then
+	echo "simulated metrics drifted from baselines/: refresh them with make baseline if the change is intended" >&2
+	exit 1
+fi
+
+echo "== micro-benchmarks (one iteration each) =="
+go test -run '^$' -bench=Micro -benchtime=1x ./internal/engine/ ./internal/pmem/
 
 echo "ALL CHECKS PASSED"
