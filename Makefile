@@ -38,21 +38,23 @@ vet:
 sanitize:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -sanitize
 
-# Streamed-trace equivalence gate: a 2-core hashtable run streams its
-# trace into an SLPSEG01 binlog (stream-out/, with NDJSON telemetry),
-# the binlog replays through the persist-order sanitizer, and the
-# streamed Summary/Sanitize/WPQ reductions must byte-match the
-# in-memory analyses over the same binlog. Nonzero exit on divergence.
+# Binlog round-trip gate: a 2-core hashtable run streams its trace into
+# an SLPSEG01 binlog (stream-out/, with NDJSON telemetry). The reader
+# must get back every event the writer took from a closed, untorn
+# stream, the binlog replays through the persist-order sanitizer, and
+# the streamed Summary/Sanitize/WPQ reductions must byte-match the same
+# run re-done on a full-detail in-memory ring. Nonzero exit on
+# divergence.
 stream-check:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 		-trace-stream stream-out -stream-check -sanitize
 
 # Causal critical-path gate: the same streamed 2-core run carries the
-# blocking-DAG analyzer fed from the binlog; -stream-check requires the
-# streamed analysis to byte-match the in-memory replay, and the
-# conservation contract (path length == makespan) is enforced inside
-# the harness. The blame/slack/hot-line report lands in
-# stream-out/critpath.txt for artifact upload.
+# blocking-DAG analyzer fed from the binlog; -stream-check adds the
+# binlog round trip and requires the rendered analysis to byte-match
+# the ring re-run's, and the conservation contract (path length ==
+# makespan) is enforced inside the harness. The blame/slack/hot-line
+# report lands in stream-out/critpath.txt for artifact upload.
 critpath:
 	$(GO) run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
 		-trace-stream stream-out -stream-check -critpath -hotlines 10

@@ -59,10 +59,12 @@
 // one segment buffer, so it scales to runs the in-memory ring cannot
 // hold), live telemetry snapshots are written to telemetry.ndjson (one
 // line per -interval cycles), and the printed latency/WPQ metrics come
-// from the online streaming consumers. Tail the directory live with
+// from the consumers fed from the binlog. Tail the directory live with
 // `slpmttrace -trace-stream dir -follow`. -stream-check additionally
-// replays the binlog through the in-memory analyses and exits nonzero
-// if any streamed reduction diverges — the CI stream-check gate.
+// gates the binlog round trip — every written event read back from a
+// closed, untorn stream, and the streamed reductions byte-equal to a
+// re-run of the same config on a full-detail in-memory ring — and exits
+// nonzero on any divergence: the CI stream-check gate.
 // Combining with -sanitize replays the binlog through the persist-order
 // checker instead of keeping the event stream in memory:
 //
@@ -91,8 +93,8 @@
 // is enforced, and the analysis is observation-only. Composing with
 // -trace-stream feeds the analyzer from the on-disk binlog instead of
 // the ring (and writes the report to <dir>/critpath.txt); adding
-// -stream-check verifies the streamed analysis byte-matches the
-// in-memory one:
+// -stream-check verifies the streamed analysis byte-matches the ring
+// run's:
 //
 //	slpmtbench -workload hashtable -cores 2 -critpath -hotlines 5
 //	slpmtbench -workload hashtable -cores 2 -trace-stream out/ -critpath -stream-check
@@ -139,7 +141,7 @@ func run() error {
 		tracePth = flag.String("trace", "", "trace one run of -workload/-scheme and export events to this path (.json = Perfetto, .bin = binary)")
 		streamD  = flag.String("trace-stream", "", "stream one run of -workload/-scheme into an SLPSEG01 binlog directory (bounded memory; composes with -sanitize)")
 		interval = flag.Uint64("interval", 0, "telemetry snapshot interval in cycles for -trace-stream (0 = default)")
-		streamCk = flag.Bool("stream-check", false, "with -trace-stream: verify the streamed Summary/Sanitize/WPQ reductions byte-match the in-memory analyses over the binlog (exit nonzero on divergence)")
+		streamCk = flag.Bool("stream-check", false, "with -trace-stream: verify the binlog round-trips and the streamed Summary/Sanitize/WPQ (and -critpath) reductions byte-match a re-run on an in-memory ring (exit nonzero on divergence)")
 		sanitize = flag.Bool("sanitize", false, "replay one run of -workload/-scheme through the persist-order sanitizer (exit nonzero on violations)")
 		critpath = flag.Bool("critpath", false, "run one -workload/-scheme execution under the causal critical-path analyzer and print the blame/slack/hot-line report (composes with -trace-stream and -stream-check)")
 		hotlines = flag.Int("hotlines", 10, "hot lines to list in the -critpath report")

@@ -6,10 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 
 	"github.com/persistmem/slpmt/internal/bench"
-	"github.com/persistmem/slpmt/internal/critpath"
 	"github.com/persistmem/slpmt/internal/trace"
 	"github.com/persistmem/slpmt/internal/trace/stream"
 )
@@ -18,14 +16,13 @@ import (
 // attached: the event stream spills into an SLPSEG01 binlog under dir
 // (memory stays bounded by the spill ring plus one segment buffer),
 // live telemetry snapshots land in telemetry.ndjson, and the printed
-// metrics come from the online consumers. With sanitize the binlog is
-// replayed through the persist-order checker, and dropped events are a
-// hard error because the replay would be unsound. With crit the run
-// additionally carries the causal critical-path analyzer (fed from the
-// binlog) and the report lands on stdout and in dir/critpath.txt. With
-// check the streamed reductions are additionally verified
-// byte-for-byte against the in-memory analyses over the same binlog —
-// the CI stream-check gate.
+// metrics come from the consumers fed from the binlog. With sanitize
+// the binlog is replayed through the persist-order checker, and
+// dropped events are a hard error because the replay would be unsound.
+// With crit the run additionally carries the causal critical-path
+// analyzer (fed from the binlog) and the report lands on stdout and in
+// dir/critpath.txt. With check the binlog round trip is gated — the CI
+// stream-check gate (see streamCheck).
 func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64, check, sanitize, crit bool, hotN int) error {
 	cfg.StreamDir = dir
 	cfg.StreamInterval = interval
@@ -61,15 +58,19 @@ func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64
 		fmt.Fprint(out, r.WPQ.String())
 	}
 
+	var st *stream.Stats
+	var rep *trace.Report
+	if sanitize || check {
+		zs := trace.NewSanitizer()
+		if st, err = stream.Feed(d, zs); err != nil {
+			return err
+		}
+		rep = zs.Report(r.Summary.Dropped)
+	}
 	if sanitize {
 		if r.Summary.Dropped > 0 {
 			return fmt.Errorf("streamed run dropped %d events; the sanitizer replay is unsound", r.Summary.Dropped)
 		}
-		zs := stream.NewSanitize()
-		if _, err := stream.Feed(d, zs); err != nil {
-			return err
-		}
-		rep := zs.Report(r.Summary.Dropped)
 		fmt.Fprintf(out, "\nstreamed sanitizer: %d events replayed, %d transactions, %d aborts\n",
 			rep.Events, rep.Transactions, rep.Aborts)
 		if !rep.Clean() {
@@ -90,80 +91,55 @@ func runStreamed(out io.Writer, cfg bench.RunConfig, dir string, interval uint64
 		fmt.Fprintf(out, "wrote %s\n", repPath)
 	}
 	if check {
-		if err := streamCheck(out, d, r, hotN); err != nil {
-			return err
-		}
+		return streamCheck(out, cfg, r, st, rep, hotN)
 	}
 	return nil
 }
 
-// streamCheck slurps the binlog back into memory and verifies that the
-// run's streamed reductions match the in-memory analyses over the very
-// same events. Any divergence is a bug in the streaming pipeline, not
-// in the run.
-func streamCheck(out io.Writer, d *stream.Dir, r bench.Result, hotN int) error {
-	evs, st, err := d.Events()
-	if err != nil {
-		return fmt.Errorf("stream-check: %w", err)
+// streamCheck is the binlog round-trip gate. bench.Run already failed
+// the run unless the reader got back every event the writer took from
+// a CLOSED, untorn stream; here the replay st that produced the
+// streamed sanitizer report rep is held to the same. Then the same
+// configuration runs again on a full-detail in-memory ring, through the
+// same consumers, and its summary, WPQ series, sanitizer report and
+// (with -critpath) rendered analysis must byte-match the streamed ones.
+// Any divergence is a bug in the streaming pipeline, not in the run.
+func streamCheck(out io.Writer, cfg bench.RunConfig, r bench.Result, st *stream.Stats, rep *trace.Report, hotN int) error {
+	if !st.Closed || st.Torn != nil || st.Events != r.Summary.Events {
+		return fmt.Errorf("stream-check: binlog read back %d of %d events (closed=%v, torn=%v)",
+			st.Events, r.Summary.Events, st.Closed, st.Torn)
 	}
-	if st.Torn != nil {
-		return fmt.Errorf("stream-check: %v", st.Torn)
+	// No verification pass: the ring must end with the measured region,
+	// as the binlog does.
+	cfg.StreamDir, cfg.Verify = "", false
+	cfg.Trace = trace.New(bench.CritPathRingEvents)
+	ring := bench.Run(cfg)
+	if ring.Summary.Dropped > 0 {
+		return fmt.Errorf("stream-check: the in-memory ring dropped %d events; use a smaller -n", ring.Summary.Dropped)
 	}
-	if want := trace.Summarize(evs, r.Summary.Dropped); r.Summary != want {
-		return fmt.Errorf("stream-check: streamed summary diverges from in-memory:\nstreamed:\n%swant:\n%s",
-			r.Summary.String(), want.String())
+	if r.Summary != ring.Summary {
+		return fmt.Errorf("stream-check: streamed summary diverges from the ring run:\nstreamed:\n%sring:\n%s",
+			r.Summary.String(), ring.Summary.String())
 	}
-	wantWPQ := trace.BucketWPQ(evs, 16)
-	switch {
-	case (r.WPQ == nil) != (wantWPQ == nil):
-		return fmt.Errorf("stream-check: WPQ series presence differs from in-memory")
-	case wantWPQ != nil && !reflect.DeepEqual(r.WPQ, wantWPQ):
-		return fmt.Errorf("stream-check: streamed WPQ series diverges from in-memory:\nstreamed:\n%swant:\n%s",
-			r.WPQ.String(), wantWPQ.String())
+	if !reflect.DeepEqual(r.WPQ, ring.WPQ) {
+		return fmt.Errorf("stream-check: streamed WPQ series diverges from the ring run:\nstreamed:\n%sring:\n%s",
+			r.WPQ.String(), ring.WPQ.String())
 	}
-	zs := stream.NewSanitize()
-	if _, err := stream.Feed(d, zs); err != nil {
+	zr := trace.NewSanitizer()
+	if _, err := stream.Feed(stream.Events(cfg.Trace.Events()), zr); err != nil {
 		return err
 	}
-	got := renderReport(zs.Report(r.Summary.Dropped))
-	want := renderReport(trace.Sanitize(evs, r.Summary.Dropped))
-	if got != want {
-		return fmt.Errorf("stream-check: streamed sanitize report diverges from in-memory:\nstreamed:\n%swant:\n%s", got, want)
+	if want := zr.Report(ring.Summary.Dropped); !reflect.DeepEqual(rep, want) {
+		return fmt.Errorf("stream-check: streamed sanitize report diverges from the ring run:\nstreamed: %+v\nring:     %+v", rep, want)
 	}
 	checked := "summary, WPQ, and sanitize"
 	if r.CritPath != nil {
-		// The streamed analysis came from feeding the binlog; recompute
-		// from the slurped events and require the canonical reports to
-		// byte-match.
-		mem, err := critpath.Analyze(evs, r.Summary.Dropped)
-		if err != nil {
-			return fmt.Errorf("stream-check: in-memory critpath: %w", err)
-		}
-		if got, want := r.CritPath.Render(hotN), mem.Render(hotN); got != want {
-			return fmt.Errorf("stream-check: streamed critpath analysis diverges from in-memory:\nstreamed:\n%swant:\n%s", got, want)
+		if got, want := r.CritPath.Render(hotN), ring.CritPath.Render(hotN); got != want {
+			return fmt.Errorf("stream-check: streamed critpath analysis diverges from the ring run:\nstreamed:\n%sring:\n%s", got, want)
 		}
 		checked = "summary, WPQ, sanitize, and critpath"
 	}
-	fmt.Fprintf(out, "\nstream-check: %s byte-match in-memory over %d events (%d segments)\n",
-		checked, st.Events, st.Segments)
+	fmt.Fprintf(out, "\nstream-check: binlog round trip of %d events (%d segments, closed); %s byte-match the in-memory ring run\n",
+		st.Events, st.Segments, checked)
 	return nil
-}
-
-// renderReport flattens a sanitize report for byte comparison, with the
-// violation set order-normalized (the sanitizer reports it in map
-// order, which is explicitly order-independent).
-func renderReport(rep *trace.Report) string {
-	vs := append([]trace.Violation(nil), rep.Violations...)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Index != vs[j].Index {
-			return vs[i].Index < vs[j].Index
-		}
-		return vs[i].Detail < vs[j].Detail
-	})
-	s := fmt.Sprintf("events=%d tx=%d aborts=%d truncated=%v total=%d\n",
-		rep.Events, rep.Transactions, rep.Aborts, rep.Truncated, rep.Total)
-	for _, v := range vs {
-		s += v.String() + "\n"
-	}
-	return s
 }

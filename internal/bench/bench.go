@@ -82,8 +82,8 @@ type RunConfig struct {
 	// StreamDir, when non-empty, streams the measured region's trace to
 	// an on-disk SLPSEG01 binlog in this directory: a spill sink is
 	// attached so the ring never drops however long the run, the
-	// Summary/WPQ reductions replay the binlog through the online
-	// consumers (identical to the in-memory ones by construction), and
+	// Summary/WPQ reductions read the binlog instead of the ring (the
+	// run fails unless it reads back every event written), and
 	// Result.Intervals carries the live telemetry series (also written
 	// as NDJSON to StreamDir/telemetry.ndjson). Without Trace or
 	// Metrics, a full-detail spill ring of StreamRingEvents is
@@ -154,42 +154,24 @@ type IntervalSeries struct {
 	Intervals []stream.Interval
 }
 
-// runTracer resolves the tracer a run should attach: the caller's
-// full-detail tracer, an internal metrics-masked one, or nil.
-func runTracer(cfg RunConfig) *trace.Tracer {
-	if cfg.Trace != nil {
-		return cfg.Trace
+// runOptions is the platform configuration of one run: the scheme and
+// timing knobs of cfg, the workload's compute cost, and the observer's
+// tracer and profile.
+func runOptions(cfg RunConfig, w workloads.Workload, obs *observer) slpmt.Options {
+	var mc machine.Config
+	mc.PM.Banks = cfg.Banks
+	mc.PM.WPQBytes = cfg.WPQBytes
+	return slpmt.Options{
+		Scheme:             cfg.Scheme,
+		Machine:            mc,
+		PMWriteNanos:       cfg.PMWriteNanos,
+		ComputeCyclesPerOp: w.ComputeCost(),
+		CommitWindow:       cfg.CommitWindow,
+		Sockets:            cfg.Sockets,
+		RemoteNanos:        cfg.RemoteNanos,
+		Trace:              obs.tr,
+		Profile:            obs.prof,
 	}
-	if cfg.CritPath {
-		// The analysis needs full event detail (charges, stores,
-		// coherence, WPQ, signature hits) — a metrics-masked ring would
-		// starve it. Streamed runs spill, so the capacity is only the
-		// handoff granularity there.
-		if cfg.StreamDir != "" {
-			return trace.New(StreamRingEvents)
-		}
-		return trace.New(CritPathRingEvents)
-	}
-	if cfg.Metrics {
-		tr := trace.New(trace.MetricsCapacity)
-		tr.SetMask(trace.MetricsMask())
-		return tr
-	}
-	return nil
-}
-
-// reduceTrace folds the tracer's events into the result's summary, WPQ
-// series, and occupancy gauges. No-op with a nil tracer.
-func reduceTrace(res *Result, tr *trace.Tracer, pm interface {
-	OccupancyStats() (uint64, uint64)
-}) {
-	if tr == nil {
-		return
-	}
-	evs := tr.Events()
-	res.Summary = trace.Summarize(evs, tr.Dropped())
-	res.WPQ = trace.BucketWPQ(evs, 16)
-	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = pm.OccupancyStats()
 }
 
 // Run executes one benchmark under one scheme and returns the measured
@@ -199,28 +181,8 @@ func Run(cfg RunConfig) Result {
 		return RunMulti(cfg)
 	}
 	w := workloads.MustNew(cfg.Workload)
-	var mc machine.Config
-	mc.PM.Banks = cfg.Banks
-	mc.PM.WPQBytes = cfg.WPQBytes
-	tr := runTracer(cfg)
-	if cfg.StreamDir != "" && tr == nil {
-		tr = trace.New(StreamRingEvents)
-	}
-	var prof *profile.Profile
-	if cfg.Profile || cfg.CritPath {
-		prof = profile.New(1)
-	}
-	sys := slpmt.New(slpmt.Options{
-		Scheme:             cfg.Scheme,
-		Machine:            mc,
-		PMWriteNanos:       cfg.PMWriteNanos,
-		ComputeCyclesPerOp: w.ComputeCost(),
-		CommitWindow:       cfg.CommitWindow,
-		Sockets:            cfg.Sockets,
-		RemoteNanos:        cfg.RemoteNanos,
-		Trace:              tr,
-		Profile:            prof,
-	})
+	obs := newObserver(cfg, 1)
+	sys := slpmt.New(runOptions(cfg, w, obs))
 	if err := w.Setup(sys); err != nil {
 		panic(fmt.Sprintf("bench: setup %s: %v", cfg.Workload, err))
 	}
@@ -234,21 +196,8 @@ func Run(cfg RunConfig) Result {
 	// The topology is the occupancy surface: on a single-device machine
 	// it delegates to the one device, so the gauges are unchanged.
 	topo := sys.Mach.Machine().Topo
-	var sw *streamRun
-	if tr != nil {
-		// Drop setup events and restart the occupancy window at the
-		// measured region's boundary.
-		tr.Reset()
-		topo.ResetOccupancy(startCycles)
-		if cfg.StreamDir != "" {
-			// Attach the binlog sink after the boundary so the stream
-			// holds exactly the measured region.
-			sw = attachStream(cfg, tr)
-		}
-	}
-	if prof != nil {
-		// Drop setup charges: the breakdown covers the measured region.
-		prof.Reset()
+	if err := obs.begin(topo, startCycles); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 	err := load.Each(func(key uint64, value []byte) error {
 		return w.Insert(sys, key, value)
@@ -265,26 +214,15 @@ func Run(cfg RunConfig) Result {
 		Cycles:    sys.Cycles() - startCycles,
 		Counters:  sys.Stats().Delta(start),
 	}
-	if tr != nil {
-		// Retire entries that finished before the region's end so drain
-		// events and the occupancy integral cover the whole interval.
-		topo.QueueDepth(sys.Cycles())
-		if sw != nil {
-			sw.finish(tr)
-			reduceStream(&res, tr, sw, topo)
-		} else {
-			reduceTrace(&res, tr, topo)
-		}
-		if cfg.CritPath {
-			res.CritPath = critAnalyze(tr, sw, res.Cycles)
-		}
+	if err := obs.end(&res, topo, sys.Cycles()); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 	if topo.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: topo.SocketStats()}
 	}
-	if prof != nil {
+	if obs.prof != nil {
 		// Snapshot before verification advances the clock further.
-		res.Causes = prof.Breakdown([]uint64{res.Cycles})
+		res.Causes = obs.prof.Breakdown([]uint64{res.Cycles})
 	}
 	if cfg.Verify {
 		res.VerifyErr = w.Check(sys, load.Oracle())

@@ -17,7 +17,7 @@ func critCfg() RunConfig {
 // TestCritPathContract is the conservation contract on a real run: the
 // critical-path length equals the measured makespan cycles and the
 // per-cause critical shares sum to the path. (critAnalyze enforces this
-// with a panic; the test pins the observable values too.)
+// and Run panics on a breach; the test pins the observable values too.)
 func TestCritPathContract(t *testing.T) {
 	r := Run(critCfg())
 	an := r.CritPath

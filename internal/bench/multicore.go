@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"github.com/persistmem/slpmt"
-	"github.com/persistmem/slpmt/internal/machine"
-	"github.com/persistmem/slpmt/internal/profile"
-	"github.com/persistmem/slpmt/internal/trace"
 	"github.com/persistmem/slpmt/internal/workloads"
 	"github.com/persistmem/slpmt/internal/ycsb"
 )
@@ -25,28 +22,8 @@ func RunMulti(cfg RunConfig) Result {
 		cores = 1
 	}
 	w := workloads.MustNew(cfg.Workload)
-	var mc machine.Config
-	mc.PM.Banks = cfg.Banks
-	mc.PM.WPQBytes = cfg.WPQBytes
-	tr := runTracer(cfg)
-	if cfg.StreamDir != "" && tr == nil {
-		tr = trace.New(StreamRingEvents)
-	}
-	var prof *profile.Profile
-	if cfg.Profile || cfg.CritPath {
-		prof = profile.New(cores)
-	}
-	cl := slpmt.NewCluster(cores, slpmt.Options{
-		Scheme:             cfg.Scheme,
-		Machine:            mc,
-		PMWriteNanos:       cfg.PMWriteNanos,
-		ComputeCyclesPerOp: w.ComputeCost(),
-		CommitWindow:       cfg.CommitWindow,
-		Sockets:            cfg.Sockets,
-		RemoteNanos:        cfg.RemoteNanos,
-		Trace:              tr,
-		Profile:            prof,
-	})
+	obs := newObserver(cfg, cores)
+	cl := slpmt.NewCluster(cores, runOptions(cfg, w, obs))
 	if err := w.Setup(cl.Use(0)); err != nil {
 		panic(fmt.Sprintf("bench: setup %s: %v", cfg.Workload, err))
 	}
@@ -62,19 +39,12 @@ func RunMulti(cfg RunConfig) Result {
 	// multi-core run: the parallel phase's WPQ pressure is the scaling
 	// story, so the gauges are reported whether or not a tracer is on.
 	// The topology surface covers every socket's queue (and delegates
-	// to the one device on single-socket machines).
+	// to the one device on single-socket machines). A traced run's
+	// observer repeats the reset and the end-of-region retirement;
+	// both are idempotent at the same cycle.
 	cl.Plat.Topo.ResetOccupancy(startClk)
-	var sw *streamRun
-	if tr != nil {
-		tr.Reset()
-		if cfg.StreamDir != "" {
-			// Attach the binlog sink after the boundary so the stream
-			// holds exactly the measured region.
-			sw = attachStream(cfg, tr)
-		}
-	}
-	if prof != nil {
-		prof.Reset()
+	if err := obs.begin(cl.Plat.Topo, startClk); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 
 	// Shard i runs keys[i], keys[i+cores], ... — every core sees an
@@ -105,21 +75,13 @@ func RunMulti(cfg RunConfig) Result {
 	}
 	cl.Plat.Topo.QueueDepth(cl.MaxClk())
 	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = cl.Plat.Topo.OccupancyStats()
-	if tr != nil {
-		if sw != nil {
-			sw.finish(tr)
-			reduceStream(&res, tr, sw, cl.Plat.Topo)
-		} else {
-			reduceTrace(&res, tr, cl.Plat.Topo)
-		}
-		if cfg.CritPath {
-			res.CritPath = critAnalyze(tr, sw, res.Cycles)
-		}
+	if err := obs.end(&res, cl.Plat.Topo, cl.MaxClk()); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 	if cl.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: cl.SocketStats()}
 	}
-	if prof != nil {
+	if obs.prof != nil {
 		// Snapshot before verification advances the clocks further. Each
 		// core's total is its own clock advance since the barrier (the
 		// cores finish at different clocks; Cycles is the max).
@@ -127,7 +89,7 @@ func RunMulti(cfg RunConfig) Result {
 		for i := range totals {
 			totals[i] = cl.Plat.Core(i).Clk - startClk
 		}
-		res.Causes = prof.Breakdown(totals)
+		res.Causes = obs.prof.Breakdown(totals)
 	}
 	if cfg.Verify {
 		res.VerifyErr = w.Check(cl.Use(0), load.Oracle())

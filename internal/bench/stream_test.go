@@ -16,8 +16,9 @@ import (
 
 // A streamed run is observation-only: same cycles and counters as an
 // unstreamed run of the same config, with zero dropped events, and its
-// streamed Summary/WPQ reductions must equal the in-memory ones
-// computed over the binlog's events. Covers single- and multi-core.
+// binlog round-trips into the same reductions — Summary, WPQ series and
+// sanitizer report — as the same run over a full-detail in-memory ring.
+// Covers single- and multi-core.
 func TestStreamedRunMatchesBuffered(t *testing.T) {
 	for _, cores := range []int{1, 2} {
 		base := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 120, ValueSize: 64, Cores: cores}
@@ -41,34 +42,40 @@ func TestStreamedRunMatchesBuffered(t *testing.T) {
 			t.Fatalf("cores=%d: streamed run dropped %d events", cores, got.Summary.Dropped)
 		}
 
-		// The streamed reductions must equal the in-memory analyses over
-		// the binlog's own events.
+		ringCfg := base
+		ringCfg.Trace = trace.New(CritPathRingEvents)
+		ring := Run(ringCfg)
+		if ring.Summary.Dropped != 0 {
+			t.Fatalf("cores=%d: ring run dropped %d events", cores, ring.Summary.Dropped)
+		}
+		if got.Summary != ring.Summary {
+			t.Fatalf("cores=%d: streamed summary %+v, ring %+v", cores, got.Summary, ring.Summary)
+		}
+		if !reflect.DeepEqual(got.WPQ, ring.WPQ) {
+			t.Fatalf("cores=%d: streamed WPQ series differs from the ring's", cores)
+		}
+		if got.Counters != ring.Counters {
+			t.Fatalf("cores=%d: streamed occupancy gauges differ from the ring's", cores)
+		}
+
 		d, err := stream.Open(streamed.StreamDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Closed() {
-			t.Fatalf("cores=%d: stream not closed", cores)
-		}
-		evs, st, err := d.Events()
+		zs, zr := trace.NewSanitizer(), trace.NewSanitizer()
+		st, err := stream.Feed(d, zs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Torn != nil {
-			t.Fatalf("cores=%d: stream torn: %v", cores, st.Torn)
+		if !st.Closed || st.Torn != nil || st.Events != got.Summary.Events {
+			t.Fatalf("cores=%d: binlog read back %d of %d events (closed=%v, torn=%v)",
+				cores, st.Events, got.Summary.Events, st.Closed, st.Torn)
 		}
-		if want := trace.Summarize(evs, 0); got.Summary != want {
-			t.Fatalf("cores=%d: streamed summary %+v, want %+v", cores, got.Summary, want)
-		}
-		if want := trace.BucketWPQ(evs, 16); !reflect.DeepEqual(got.WPQ, want) {
-			t.Fatalf("cores=%d: streamed WPQ series differs from in-memory", cores)
-		}
-		zs := stream.NewSanitize()
-		if _, err := stream.Feed(d, zs); err != nil {
+		if _, err := stream.Feed(stream.Events(ringCfg.Trace.Events()), zr); err != nil {
 			t.Fatal(err)
 		}
-		if want := trace.Sanitize(evs, 0); !reflect.DeepEqual(zs.Report(0), want) {
-			t.Fatalf("cores=%d: streamed sanitize differs from in-memory", cores)
+		if !reflect.DeepEqual(zs.Report(0), zr.Report(0)) {
+			t.Fatalf("cores=%d: streamed sanitize differs from the ring's", cores)
 		}
 
 		// Telemetry: interval series present, in order, with the NDJSON

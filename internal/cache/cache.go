@@ -17,9 +17,9 @@
 // with zeroed bits, which can cause benign duplicate logging (§III-B1).
 //
 // Lines also carry a MESI coherence state. The single-core evaluation
-// exercises only the E/M states; the Bus type in this package provides
-// the multi-cache invalidation protocol used by the coherence tests and
-// by transaction aborts (§V-B).
+// exercises only the E/M states; on a multi-core machine the snooping
+// protocol across the cores' private caches lives in internal/machine
+// (snoopFetch/snoopUpgrade), and aborts drop lines there too (§V-B).
 package cache
 
 import (
@@ -77,17 +77,6 @@ type Line struct {
 	TxID uint8
 	// lru is the replacement timestamp.
 	lru uint64
-}
-
-// Dirty reports whether the line holds data newer than memory.
-func (l *Line) Dirty() bool { return l.State == Modified }
-
-// ClearMeta resets the SLPMT metadata (persist/log/txid), leaving the
-// coherence state intact.
-func (l *Line) ClearMeta() {
-	l.Persist = false
-	l.LogBits = 0
-	l.TxID = 0
 }
 
 // L1LogMaskFull is the LogBits value of a fully logged L1 line.

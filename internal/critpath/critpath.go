@@ -306,7 +306,6 @@ type Analyzer struct {
 	baseSeen [256]bool
 	totals   [256]profile.Vector
 	hints    [256][]hintRec
-	coreSeen [256]bool
 
 	lines map[uint64]*lineAgg
 
@@ -317,7 +316,6 @@ type Analyzer struct {
 
 	tileErr  error
 	causeErr error
-	events   uint64
 }
 
 // New returns an empty analyzer.
@@ -353,8 +351,6 @@ func (a *Analyzer) line(addr uint64) *lineAgg {
 
 // Consume folds one event into the analyzer.
 func (a *Analyzer) Consume(e trace.Event) {
-	a.events++
-	a.coreSeen[e.Core] = true
 	switch e.Kind {
 	case trace.KCharge:
 		a.consumeCharge(e)
@@ -459,19 +455,11 @@ func (a *Analyzer) consumeCharge(e trace.Event) {
 	a.openOK[c] = true
 }
 
-// Analyze finalizes the replay. dropped is the producing tracer's
-// ring-overflow count: a lossy stream cannot tile, so it is an error
-// (stream with a spill sink, or shrink the run, to keep it complete).
-func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
-	a := New()
-	for _, e := range events {
-		a.Consume(e)
-	}
-	return a.Analyze(dropped)
-}
-
 // Analyze computes the critical path, the DAG slack, the what-if
 // projections and the hot-line ranking from the consumed stream.
+// dropped is the producing tracer's ring-overflow count: a lossy
+// stream cannot tile, so it is an error (stream with a spill sink, or
+// shrink the run, to keep it complete).
 func (a *Analyzer) Analyze(dropped uint64) (*Analysis, error) {
 	if dropped > 0 {
 		return nil, fmt.Errorf("critpath: trace dropped %d events; the charge stream cannot tile", dropped)

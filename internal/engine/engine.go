@@ -80,7 +80,6 @@ type Engine struct {
 	epochClk     uint64 // core clock at epoch open (cycle-budget flush)
 	epochLastSeq uint64 // seq of the youngest committed transaction
 	txnStartOff  uint64 // running transaction's first record offset
-	closedSeq    uint64 // highest seq covered by a durable epoch close
 	// epochPending accumulates the committed transactions' eager
 	// write-set lines (class bits ORed) until the close's data flush;
 	// epochLogged their non-lazy logged lines, which gate evictions
@@ -170,9 +169,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Core returns the underlying core.
 func (e *Engine) Core() *machine.Core { return e.m }
 
-// InTx reports whether a transaction is active.
-func (e *Engine) InTx() bool { return e.cur.active }
-
 // Seq returns the current transaction sequence number.
 func (e *Engine) Seq() uint64 { return e.seq }
 
@@ -181,21 +177,6 @@ func (e *Engine) grouped() bool { return e.cfg.CommitWindow > 1 }
 
 // Epoch returns the current epoch counter (introspection for tests).
 func (e *Engine) Epoch() uint64 { return e.epoch }
-
-// EpochOpen reports whether an epoch is still accepting commits, i.e.
-// some committed transactions are not yet durable (tests, harnesses).
-func (e *Engine) EpochOpen() bool { return e.epochOpen && e.epochTxns > 0 }
-
-// ClosedSeq returns the highest transaction sequence number covered by
-// a durable epoch close — the crash campaign's durability frontier.
-// Below W=2 every commit is its own durability point, so it equals
-// Seq().
-func (e *Engine) ClosedSeq() uint64 {
-	if !e.grouped() {
-		return e.seq
-	}
-	return e.closedSeq
-}
 
 // refreshRecord gives a record its final payload at spill time: undo
 // records keep the old value captured at store time; redo records are
@@ -1121,10 +1102,6 @@ func (e *Engine) finishClose() {
 
 	e.m.Trace(trace.KEpochClose, mem.Addr(mode-logfmt.ModeUndo), closed)
 	e.m.Stats.EpochCloses++
-	// The frontier advances only after the commit point persisted: a
-	// crash during the close leaves closedSeq at the previous epoch,
-	// and the durable image decides which prefix actually survived.
-	e.closedSeq = e.epochLastSeq
 	for _, la := range e.epochPending.keys { // epochLogged ⊆ epochPending
 		delete(e.epochLogged, la)
 	}
@@ -1421,12 +1398,6 @@ func (e *Engine) Abort() {
 	e.cur.active = false
 	e.m.Stats.TxAborts++
 	e.m.Trace(trace.KTxAbort, 0, e.cur.seq)
-}
-
-// WriteSetLines returns the current transaction's write-set line
-// addresses (tests and the compiler's trace replay use this).
-func (e *Engine) WriteSetLines() []mem.Addr {
-	return e.cur.writeLines.sorted(nil)
 }
 
 // ContextSwitch models the OS-visible part of a thread switch (§V-C):

@@ -674,27 +674,6 @@ func (c *Core) FindCached(addr mem.Addr) (int, *cache.Line) {
 	return 0, nil
 }
 
-// FlushAllDirty persists every dirty line in this core's hierarchy view
-// (graceful shutdown): the private caches and the shared L3. It is not
-// part of the measured execution; harnesses snapshot counters before
-// calling it. On a multi-core machine, flush every core (the shared L3
-// pass is idempotent).
-func (c *Core) FlushAllDirty() {
-	persist := func(l *cache.Line) {
-		if l.State == cache.Modified {
-			var buf [mem.LineSize]byte
-			c.ReadMem(l.Addr, buf[:])
-			c.persist(l.Addr, buf[:])
-			c.Stats.PMWriteBytesData += mem.LineSize
-			c.Stats.PMWriteEntries++
-			l.State = cache.Exclusive
-		}
-	}
-	c.L1.ForEach(persist)
-	c.L2.ForEach(persist)
-	c.sh.L3.ForEach(persist)
-}
-
 // DropLine removes the line containing addr from this core's hierarchy
 // view without any writeback — the abort-path invalidation (§V-B). The
 // volatile contents must be repaired by the caller (undo application).

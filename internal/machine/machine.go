@@ -201,9 +201,6 @@ func New(cfg Config) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// NumCores returns the core count.
-func (m *Machine) NumCores() int { return len(m.cores) }
-
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
 

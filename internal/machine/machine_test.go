@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/persistmem/slpmt/internal/cache"
@@ -235,5 +236,47 @@ func TestPersistCountsTraffic(t *testing.T) {
 	m.PersistLogLine(m.Layout.LogBase, []byte{1, 2, 3})
 	if m.Stats.PMWriteBytesLog != 64 {
 		t.Errorf("log traffic = %d, want line-granular 64", m.Stats.PMWriteBytesLog)
+	}
+}
+
+// TestCoherenceSWMRRandom: random AccessLine reads and writes on 2-4
+// cores keep the single-writer/multiple-reader invariant after every
+// op — when a core holds a line Modified or Exclusive in its L1 or L2,
+// no other core holds a private copy. The 16 lines sit 4 KiB apart, so
+// they share one 8-way L1 set and the L1->L2 evictions put L2 hits,
+// L2 upgrades and cache-to-cache fills into the mix.
+func TestCoherenceSWMRRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	lines := make([]mem.Addr, 16)
+	for i := range lines {
+		lines[i] = 1<<20 + mem.Addr(i)*4096
+	}
+	for cores := 2; cores <= 4; cores++ {
+		m := New(Config{Cores: cores})
+		for op := 0; op < 3000; op++ {
+			core := rng.Intn(cores)
+			addr := lines[rng.Intn(len(lines))]
+			write := rng.Intn(2) == 0
+			m.Core(core).AccessLine(addr, write)
+			for _, la := range lines {
+				owner, held := -1, make([]bool, cores)
+				for i, c := range m.Cores() {
+					for _, lvl := range [2]*cache.Cache{c.L1, c.L2} {
+						if l := lvl.Peek(la); l != nil {
+							held[i] = true
+							if l.State == cache.Modified || l.State == cache.Exclusive {
+								owner = i
+							}
+						}
+					}
+				}
+				for i, h := range held {
+					if owner >= 0 && h && i != owner {
+						t.Fatalf("cores=%d op %d (core %d write=%v %#x): core %d owns line %#x but core %d holds a copy",
+							cores, op, core, write, addr, owner, la, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -449,16 +449,6 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	return d.cfg.EnqueueCycles
 }
 
-// PersistZero is Persist for data that is all zeros of length n (used for
-// zero-fill without allocating a buffer).
-func (d *Device) PersistZero(now uint64, addr uint64, n int) (stall uint64) {
-	if n == 0 {
-		return 0
-	}
-	zeros := make([]byte, n)
-	return d.Persist(now, addr, zeros)
-}
-
 // DrainAll returns the cycle at which every currently queued entry has
 // drained to the medium, without modifying state. now is the current
 // cycle; if the queue is empty the result is now.

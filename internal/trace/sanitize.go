@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Sanitize replays an SLPTRC01 event stream and checks the paper's §III
 // persist-ordering contracts against what the simulator actually did.
@@ -168,11 +172,11 @@ type sanitizer struct {
 	prevDrainSock int
 }
 
-// Sanitizer is the incremental persist-order checker: the same state
-// machine Sanitize runs over a slice, exposed event-at-a-time so a
-// spilled-to-disk stream can be replayed with memory bounded by the
-// active transaction/WPQ state instead of the event count. Feed events
-// oldest-first with Step, then call Report once.
+// Sanitizer is the incremental persist-order checker, a stream
+// consumer (internal/trace/stream): events arrive one at a time, so a
+// spilled-to-disk stream replays with memory bounded by the active
+// transaction/WPQ state (the maxRetainedTx cap) instead of the event
+// count. Feed events oldest-first with Consume, then call Report once.
 type Sanitizer struct {
 	s sanitizer
 	n int
@@ -187,11 +191,19 @@ func NewSanitizer() *Sanitizer {
 	}}
 }
 
-// Step replays one event.
-func (z *Sanitizer) Step(e Event) {
+// Kinds registers every kind: violations are indexed by position in
+// the full stream, so the replay must see every event, including kinds
+// the rules ignore.
+func (z *Sanitizer) Kinds() uint64 { return AllKinds }
+
+// Consume replays one event.
+func (z *Sanitizer) Consume(e Event) {
 	z.s.step(z.n, e)
 	z.n++
 }
+
+// Reset restarts the replay at a measured-region boundary.
+func (z *Sanitizer) Reset() { *z = *NewSanitizer() }
 
 // Report finalizes the replay. dropped is the producing tracer's
 // ring-overflow count (a lossy stream makes the verdict best-effort
@@ -208,7 +220,7 @@ func (z *Sanitizer) Report(dropped uint64) *Report {
 func Sanitize(events []Event, dropped uint64) *Report {
 	z := NewSanitizer()
 	for _, e := range events {
-		z.Step(e)
+		z.Consume(e)
 	}
 	return z.Report(dropped)
 }
@@ -242,6 +254,12 @@ func (s *sanitizer) violateTx(i int, e Event, core uint8, cs *sanCore, rule, det
 	cs.txViol = append(cs.txViol, Violation{
 		Index: i, Cycle: e.Cycle, Core: core, Seq: cs.seq, Rule: rule, Detail: detail,
 	})
+}
+
+// sortByDetail orders the violations one event raised from a map walk,
+// so a report is the same on every replay of the same stream.
+func sortByDetail(vs []Violation) {
+	slices.SortFunc(vs, func(a, b Violation) int { return strings.Compare(a.Detail, b.Detail) })
 }
 
 // eachLine calls fn for every cache line the [addr, addr+n) range touches.
@@ -400,6 +418,7 @@ func (s *sanitizer) step(i int, e Event) {
 	case KCommitMarker:
 		cs.lastMode = int(e.Addr)
 		if cs.inTx {
+			n := len(cs.txViol)
 			for line, off := range cs.logOff { //slpmt:determinism-ok: violation set is order-independent (replay tool)
 				if off > cs.watermark {
 					s.violateTx(i, e, e.Core, cs,
@@ -407,6 +426,7 @@ func (s *sanitizer) step(i int, e Event) {
 						fmt.Sprintf("commit marker written with log records for line %#x beyond the durable watermark (%d > %d)", line, off, cs.watermark))
 				}
 			}
+			sortByDetail(cs.txViol[n:])
 			cs.commitSeen = true
 		}
 
@@ -415,12 +435,14 @@ func (s *sanitizer) step(i int, e Event) {
 		// commit contributed must be durable (below the latest synced
 		// watermark) when the close marker lands — otherwise recovery
 		// could tear the epoch it believes committed.
+		n := len(s.rep.Violations)
 		for line := range cs.epochLogged { //slpmt:determinism-ok: violation set is order-independent (replay tool)
 			if off := cs.epochLogOff[line]; off > cs.epochWM {
 				s.violate(i, e, e.Core, e.Arg, "epoch-close",
 					fmt.Sprintf("epoch %d closed with log records for line %#x beyond the durable watermark (%d > %d)", e.Arg, line, off, cs.epochWM))
 			}
 		}
+		sortByDetail(s.rep.Violations[n:])
 		clear(cs.epochLogged)
 		clear(cs.epochLogOff)
 

@@ -21,8 +21,9 @@ type Source interface {
 	Iter(fn func(trace.Event)) (*Stats, error)
 }
 
-// Events is an in-memory Source, used by tests and by the equivalence
-// checks that compare streamed consumers against the slurping analyses.
+// Events is an in-memory Source: a tracer ring's events
+// (Tracer.Events), replayed through the same consumers as an on-disk
+// Dir.
 type Events []trace.Event
 
 // Iter implements Source over the slice.

@@ -78,7 +78,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		got, st, err := d.Events()
+		got, st, err := readAll(d)
 		if err != nil {
 			t.Fatalf("n=%d: read back: %v", n, err)
 		}
@@ -117,7 +117,7 @@ func TestRoundTripMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := Open(dir)
-	got, _, err := d.Events()
+	got, _, err := readAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTornLastSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := dd.Events()
+		got, st, err := readAll(dd)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -243,7 +243,7 @@ func TestTornLastSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	dd, _ := Open(dir)
-	if _, _, err := dd.Events(); err == nil {
+	if _, _, err := readAll(dd); err == nil {
 		t.Fatal("torn non-final segment not rejected")
 	}
 }
@@ -266,7 +266,7 @@ func FuzzDecodeSegment(f *testing.F) {
 func TestSummarizerMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	evs := randEvents(rng, 5000, 4)
-	want := trace.Summarize(evs, 0)
+	want := summarizeOracle(evs, 0)
 	s := NewSummarizer()
 	st, err := Feed(Events(evs), s)
 	if err != nil {
@@ -284,33 +284,19 @@ func TestSanitizeMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	evs := randEvents(rng, 3000, 3)
 	want := trace.Sanitize(evs, 0)
-	z := NewSanitize()
+	z := trace.NewSanitizer()
 	if _, err := Feed(Events(evs), z); err != nil {
 		t.Fatal(err)
 	}
-	got := z.Report(0)
-	// Violations found at the same event come out of set iteration, so
-	// their relative order is unspecified; normalize before comparing.
-	sortViolations(got.Violations)
-	sortViolations(want.Violations)
-	if !reflect.DeepEqual(got, want) {
+	if got := z.Report(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed sanitize differs:\ngot  %+v\nwant %+v", got, want)
 	}
-}
-
-func sortViolations(vs []trace.Violation) {
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Index != vs[j].Index {
-			return vs[i].Index < vs[j].Index
-		}
-		return vs[i].Detail < vs[j].Detail
-	})
 }
 
 func TestBucketWPQMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	evs := randEvents(rng, 4000, 4)
-	want := trace.BucketWPQ(evs, 16)
+	want := bucketWPQOracle(evs, 16)
 	got, err := BucketWPQ(Events(evs), 16)
 	if err != nil {
 		t.Fatal(err)
@@ -473,14 +459,14 @@ func TestWriterResetDiscardsSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := Open(dir)
-	got, st, err := d.Events()
+	got, st, err := readAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, measured) {
 		t.Fatalf("stream holds %d events after reset, want the %d measured ones", len(got), len(measured))
 	}
-	want := trace.Summarize(measured, 0)
+	want := summarizeOracle(measured, 0)
 	if sum := s.Summary(st.Events, 0); sum != want {
 		t.Fatalf("live summarizer not reset: %+v want %+v", sum, want)
 	}
@@ -491,15 +477,12 @@ func TestLiveConsumersMatchOffline(t *testing.T) {
 	evs := randEvents(rng, 3000, 4)
 	dir := t.TempDir()
 	s := NewSummarizer()
-	z := NewSanitize()
+	z := trace.NewSanitizer()
 	buildStream(t, dir, evs, 64, 256, s, z)
-	if got, want := s.Summary(len(evs), 0), trace.Summarize(evs, 0); got != want {
+	if got, want := s.Summary(len(evs), 0), summarizeOracle(evs, 0); got != want {
 		t.Fatalf("live summary %+v, want %+v", got, want)
 	}
-	got, want := z.Report(0), trace.Sanitize(evs, 0)
-	sortViolations(got.Violations)
-	sortViolations(want.Violations)
-	if !reflect.DeepEqual(got, want) {
+	if got, want := z.Report(0), trace.Sanitize(evs, 0); !reflect.DeepEqual(got, want) {
 		t.Fatal("live sanitize report differs from in-memory")
 	}
 }

@@ -3,15 +3,15 @@ package stream
 import "github.com/persistmem/slpmt/internal/trace"
 
 // MaxExactSamples is the per-histogram sample bound up to which the
-// streaming Summarizer keeps exact latency samples (and so reproduces
-// trace.Summarize bit-for-bit via the shared nearest-rank Percentiles).
-// Past the bound it degrades to the QSketch with its documented
-// <= 2^-5 relative error — bounded memory at million-transaction scale.
+// Summarizer keeps exact latency samples (nearest-rank percentiles via
+// trace.Percentiles). Past the bound it degrades to the QSketch with
+// its documented <= 2^-5 relative error — bounded memory at
+// million-transaction scale. Ring and streamed runs share the bound.
 const MaxExactSamples = 1 << 18
 
-// Summarizer is the online counterpart of trace.Summarize: it pairs
-// begin/commit and lazy-drain start/end events per core as they stream
-// by. Summary must be given the stream's total event and drop counts
+// Summarizer reduces a trace to trace.Summary: it pairs begin/commit
+// and lazy-drain start/end events per core as they stream by (aborts
+// discard the open span). Summary must be given the stream's total event and drop counts
 // (from Stats), since the consumer itself only sees its masked kinds.
 type Summarizer struct {
 	txStart   map[uint8]uint64
@@ -72,8 +72,7 @@ func (s *Summarizer) Kinds() uint64 {
 		trace.KLazyDrainStart, trace.KLazyDrainEnd)
 }
 
-// Consume folds one event into the histograms. The pairing logic
-// mirrors trace.Summarize exactly.
+// Consume folds one event into the histograms.
 func (s *Summarizer) Consume(e trace.Event) {
 	switch e.Kind {
 	case trace.KTxBegin:
@@ -103,8 +102,7 @@ func (s *Summarizer) Sketched() bool {
 }
 
 // Summary renders the accumulated histograms. events and dropped are
-// the stream totals (Stats.Events, Stats.Dropped); within the exact
-// sample bound the result equals trace.Summarize on the same stream.
+// the stream totals (Stats.Events, Stats.Dropped).
 func (s *Summarizer) Summary(events int, dropped uint64) trace.Summary {
 	out := trace.Summary{Events: events, Dropped: dropped}
 	out.Commits = s.commits.count()

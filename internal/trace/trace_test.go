@@ -46,21 +46,6 @@ func TestMaskFiltersKinds(t *testing.T) {
 	}
 }
 
-func TestMetricsMaskCoversReducerKinds(t *testing.T) {
-	m := MetricsMask()
-	for _, k := range []Kind{KTxBegin, KCommitStart, KTxCommit, KTxAbort,
-		KLazyDrainStart, KLazyDrainEnd, KWPQEnqueue, KWPQDrain, KWPQStall} {
-		if m&(1<<uint(k)) == 0 {
-			t.Errorf("metrics mask misses %v", k)
-		}
-	}
-	for _, k := range []Kind{KStore, KCacheMiss, KCohSnoop} {
-		if m&(1<<uint(k)) != 0 {
-			t.Errorf("metrics mask should drop high-rate kind %v", k)
-		}
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := New(128)
 	for i := 0; i < 100; i++ {

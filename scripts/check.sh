@@ -38,13 +38,13 @@ go test -race ./internal/experiments/ \
 echo "== persist-order sanitizer =="
 go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 -sanitize
 
-echo "== trace stream (binlog equivalence + streamed sanitizer) =="
+echo "== trace stream + critical path (binlog round trip, streamed sanitizer, conservation) =="
+# One streamed 2-core run: the binlog must read back every written event
+# (closed, untorn), replay clean through the sanitizer, and give the
+# same summary, WPQ series, sanitizer report and critical-path report
+# as a re-run on an in-memory ring; path length == makespan.
 go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-	-trace-stream stream-out -stream-check -sanitize
-
-echo "== critical path (streamed-vs-buffered byte-match + conservation) =="
-go run ./cmd/slpmtbench -workload hashtable -cores 2 -n 300 -value 64 \
-	-trace-stream stream-out -stream-check -critpath -hotlines 10
+	-trace-stream stream-out -stream-check -sanitize -critpath -hotlines 10
 
 echo "== baselines (make compare; every simulated metric byte-identical) =="
 # make compare fails on drift past its tolerance; this gate also fails
