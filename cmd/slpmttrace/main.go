@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("run: %s under %s, %d ops, %d persist events, crashed=%v\n\n",
 		*workload, *scheme, *n, events, crashed)
 
-	layouts := mem.MultiLayout(uint64(len(img.Data)), *cores)
+	layouts := mem.MultiLayout(img.Size(), *cores)
 
 	// Root directory.
 	fmt.Println("root directory:")
@@ -100,8 +100,13 @@ func main() {
 
 	// Per-core log header + records.
 	for core, layout := range layouts {
-		raw := img.Data[layout.LogBase : layout.LogBase+layout.LogSize]
-		hdr := logfmt.DecodeHeader(raw)
+		var line [logfmt.RecordsStart]byte
+		img.Read(layout.LogBase, line[:])
+		hdr := logfmt.DecodeHeader(line[:])
+		// The records end at the watermark; a watermark past the log
+		// area is left for ParseRecords to reject.
+		raw := make([]byte, min(max(hdr.Watermark, logfmt.RecordsStart), layout.LogSize))
+		img.Read(layout.LogBase, raw)
 		state := map[uint64]string{0: "idle", 1: "ACTIVE", 2: "committed"}[hdr.State]
 		mode := map[uint64]string{1: "undo", 2: "redo"}[hdr.Mode]
 		tag := ""

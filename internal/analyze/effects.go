@@ -14,12 +14,16 @@ import (
 // "Simulation state" is any named type declared in the packages whose
 // mutation changes a run's timing or durable image — machine, engine,
 // pmem, cache, txheap. A write summary entry is a syntactic store
-// (assignment, compound assignment, ++/--) whose target resolves to
+// (assignment, compound assignment, ++/--, or the destination of the
+// copy builtin) whose target resolves to
 //
 //   - a field of a simulation-state type, reached through at least one
 //     pointer (writes into value-typed locals are copies and stay
 //     function-local, so they carry no effect), or an element of a
 //     map/slice-typed field of such a type (reference semantics), or
+//   - an element of a simulation-state array type reached through a
+//     pointer (a page of a pmem.Image, wherever the page pointer is
+//     held), or
 //   - a package-level variable of any module package (global state).
 //
 // The summaries over-approximate in the usual static ways (no alias
@@ -123,6 +127,9 @@ func summarize(fi *FuncInfo) *FuncEffects {
 			if name := calleeName(n); name == "Trace" || name == "Emit" {
 				fe.TraceEmits++
 			}
+			if isBuiltin(info, n, "copy") && len(n.Args) == 2 {
+				recordWrite(fe, fi, info, n.Args[0]) // copy stores into its destination
+			}
 		case *ast.Ident:
 			if c, ok := info.Uses[n].(*types.Const); ok && isCauseConst(c) {
 				fe.CauseRefs = append(fe.CauseRefs, c)
@@ -149,17 +156,39 @@ func isCauseConst(c *types.Const) bool {
 func recordWrite(fe *FuncEffects, fi *FuncInfo, info *types.Info, lhs ast.Expr) {
 	lhs = unparen(lhs)
 	element := false
-	// Unwrap element stores: m[k] = v, s[i] = v. Maps and slices have
-	// reference semantics, so an element store through a field or
-	// global mutates the shared structure no matter how the header was
-	// copied around.
+	// Unwrap element stores: m[k] = v, s[i] = v, and copy(s[i:], src).
+	// Maps and slices have reference semantics, so an element store
+	// through a field or global mutates the shared structure no matter
+	// how the header was copied around.
 	for {
-		if ix, ok := lhs.(*ast.IndexExpr); ok {
-			lhs = unparen(ix.X)
+		switch x := lhs.(type) {
+		case *ast.IndexExpr:
+			lhs = unparen(x.X)
+			element = true
+			continue
+		case *ast.SliceExpr:
+			lhs = unparen(x.X)
 			element = true
 			continue
 		}
 		break
+	}
+	// An element store through a pointer to a simulation-state array
+	// type (pg[i] = b with pg a *pmem.page) writes the shared array
+	// itself, whatever local the pointer sits in.
+	if element {
+		if pt, ok := info.TypeOf(lhs).(*types.Pointer); ok {
+			if named := namedOf(pt); named != nil && named.Obj().Pkg() != nil && isSimStatePkg(named.Obj().Pkg().Path()) {
+				if _, ok := named.Underlying().(*types.Array); ok {
+					fe.SimWrites = append(fe.SimWrites, FieldWrite{
+						Pos:     lhs.Pos(),
+						Desc:    pkgBase(named.Obj().Pkg().Path()) + "." + named.Obj().Name(),
+						Element: true,
+					})
+					return
+				}
+			}
+		}
 	}
 	switch t := lhs.(type) {
 	case *ast.Ident:
@@ -312,4 +341,14 @@ func (e *Effects) propagateMutates() {
 			}
 		}
 	}
+}
+
+// isBuiltin reports whether call invokes the named builtin function.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }

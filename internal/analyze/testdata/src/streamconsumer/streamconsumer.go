@@ -6,6 +6,7 @@ package streamconsumer
 
 import (
 	"fixtures/internal/machine"
+	"fixtures/internal/pmem"
 	"fixtures/internal/trace"
 )
 
@@ -82,6 +83,23 @@ func (m *Mutator) Kinds() uint64 { return trace.Mask(trace.KGood) }
 func (m *Mutator) Consume(e trace.Event) {
 	m.core.Count += e.Cycle // want "writes machine.Core.Count"
 	m.core.Bump()
+}
+
+// Scribbler writes a PM image page from an observer entry point. The
+// image is a page table, so the stores the pass must resolve sit in the
+// image's write path — the in-page copy and byte store, and the
+// page-table and ownership stores of the first-write helper — and are
+// reported there, with the call chain back to Consume. Reading the
+// image is fine.
+type Scribbler struct{ img *pmem.Image }
+
+func (s *Scribbler) Kinds() uint64 { return trace.Mask(trace.KGood) }
+
+func (s *Scribbler) Consume(e trace.Event) {
+	if s.img.ReadByte(e.Cycle) == 0 {
+		s.img.Write(e.Cycle, []byte{1})
+		s.img.SetByte(e.Cycle+1, 2)
+	}
 }
 
 // hostBuffered and hostDropped mirror the double-buffered binlog

@@ -8,6 +8,7 @@ import (
 	"github.com/persistmem/slpmt/internal/logfmt"
 	"github.com/persistmem/slpmt/internal/machine"
 	"github.com/persistmem/slpmt/internal/mem"
+	"github.com/persistmem/slpmt/internal/pmem"
 )
 
 func windowCfg(w int) Config {
@@ -220,12 +221,17 @@ func TestEpochW1MatchesPerTxn(t *testing.T) {
 		t.Errorf("W=1 stats differ:\n  per-txn: %+v\n  W=1:     %+v", m0.Stats, m1.Stats)
 	}
 	a, b := m0.Crash(), m1.Crash()
-	if len(a.Data) != len(b.Data) {
+	if a.Size() != b.Size() {
 		t.Fatal("image sizes differ")
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("durable images differ at byte %#x", i)
+	pa, pb := make([]byte, pmem.PageSize), make([]byte, pmem.PageSize)
+	for off := uint64(0); off < a.Size(); off += pmem.PageSize {
+		a.Read(off, pa)
+		b.Read(off, pb)
+		for i := range pa {
+			if pa[i] != pb[i] {
+				t.Fatalf("durable images differ at byte %#x", off+uint64(i))
+			}
 		}
 	}
 }

@@ -166,8 +166,10 @@ func TestPropertyCrashRecovery(t *testing.T) {
 			// If the crash fell between the in-flight transaction's
 			// commit record and its return, that transaction is durable:
 			// the model's current state is the expected image.
-			layout := mem.DefaultLayout(uint64(len(img.Data)))
-			hdr := logfmt.DecodeHeader(img.Data[layout.LogBase:])
+			layout := mem.DefaultLayout(img.Size())
+			var line [logfmt.RecordsStart]byte
+			img.Read(layout.LogBase, line[:])
+			hdr := logfmt.DecodeHeader(line[:])
 			inFlightCommitted := hdr.State == logfmt.StateCommitted && ref.inTx
 
 			if _, err := applyForTest(img); err != nil {
@@ -175,9 +177,11 @@ func TestPropertyCrashRecovery(t *testing.T) {
 			}
 			base := m.Layout.HeapBase
 			span := 64 * mem.LineSize
+			heap := make([]byte, span)
+			img.Read(base, heap)
 			for off := 0; off < span; off++ {
 				a := base + mem.Addr(off)
-				got := img.Data[a]
+				got := heap[off]
 				want := ref.committed[a]
 				if inFlightCommitted {
 					want = ref.current[a]
@@ -202,8 +206,9 @@ func TestPropertyCrashRecovery(t *testing.T) {
 // image (a local copy of the recovery package's phase 1, kept here to
 // avoid an import cycle in tests).
 func applyForTest(img *pmem.Image) (int, error) {
-	layout := mem.DefaultLayout(uint64(len(img.Data)))
-	raw := img.Data[layout.LogBase : layout.LogBase+layout.LogSize]
+	layout := mem.DefaultLayout(img.Size())
+	raw := make([]byte, layout.LogSize)
+	img.Read(layout.LogBase, raw)
 	hdr := logfmt.DecodeHeader(raw)
 	if hdr.Magic != logfmt.Magic || hdr.State != logfmt.StateActive || hdr.Mode != logfmt.ModeUndo {
 		return 0, nil

@@ -74,6 +74,12 @@ type Core struct {
 	// persist bit is set, the line itself, mutating the line's metadata
 	// before it enters L3 (which carries no metadata).
 	OnL2Evict func(l *cache.Line)
+	// hookLine is the line an OnL1Demote/OnL2Evict hook is running on.
+	// The hooks get a pointer into the core rather than to the victim
+	// itself, which would move every evicted line to the heap. hookBusy
+	// guards the slot: hooks never demote a line themselves.
+	hookLine cache.Line
+	hookBusy bool
 	// OnL3Writeback is invoked after a dirty line of this core reaches
 	// PM outside an explicit persist — an L3 victim writeback or a
 	// coherence writeback forced by a remote core's request; the engine
@@ -157,30 +163,16 @@ func (c *Core) TickArena(n uint64) { c.charge(profile.CauseAllocArena, n) }
 
 // ReadMem copies the current (volatile) contents at addr into p. Purely
 // functional: no timing. The volatile image is shared by all cores.
-func (c *Core) ReadMem(addr mem.Addr, p []byte) {
-	copy(p, c.sh.vol[addr:addr+mem.Addr(len(p))])
-}
+func (c *Core) ReadMem(addr mem.Addr, p []byte) { c.sh.vol.Read(addr, p) }
 
 // WriteMem copies p into the volatile image at addr. Purely functional.
-func (c *Core) WriteMem(addr mem.Addr, p []byte) {
-	copy(c.sh.vol[addr:], p)
-}
+func (c *Core) WriteMem(addr mem.Addr, p []byte) { c.sh.vol.Write(addr, p) }
 
 // ReadU64 reads a little-endian word from the volatile image.
-func (c *Core) ReadU64(addr mem.Addr) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(c.sh.vol[addr+mem.Addr(i)]) << (8 * uint(i))
-	}
-	return v
-}
+func (c *Core) ReadU64(addr mem.Addr) uint64 { return c.sh.vol.ReadU64(addr) }
 
 // WriteU64 writes a little-endian word into the volatile image.
-func (c *Core) WriteU64(addr mem.Addr, v uint64) {
-	for i := 0; i < 8; i++ {
-		c.sh.vol[addr+mem.Addr(i)] = byte(v >> (8 * uint(i)))
-	}
-}
+func (c *Core) WriteU64(addr mem.Addr, v uint64) { c.sh.vol.WriteU64(addr, v) }
 
 // AccessLine simulates one load or store touching the line containing
 // addr: the hierarchy walk, latency accounting, metadata propagation
@@ -302,7 +294,7 @@ func (c *Core) insertL1(line cache.Line) *cache.Line {
 // 32-byte-granularity bits (Figure 5) and inserts the line into L2.
 func (c *Core) demoteToL2(v cache.Line) {
 	if c.OnL1Demote != nil {
-		c.OnL1Demote(&v)
+		v = c.runLineHook(c.OnL1Demote, v)
 	}
 	v.LogBits = cache.FoldLogBits(v.LogBits)
 	_, victim, evicted := c.L2.Insert(v)
@@ -317,7 +309,7 @@ func (c *Core) demoteToL2(v cache.Line) {
 // §III-A), strips the SLPMT metadata, and inserts into the shared L3.
 func (c *Core) demoteToL3(v cache.Line) {
 	if c.OnL2Evict != nil {
-		c.OnL2Evict(&v)
+		v = c.runLineHook(c.OnL2Evict, v)
 	}
 	c.Trace(trace.KCacheEvict, v.Addr, 2)
 	v.Persist = false
@@ -331,6 +323,19 @@ func (c *Core) demoteToL3(v cache.Line) {
 			c.writeback(victim.Addr)
 		}
 	}
+}
+
+// runLineHook runs an eviction hook on v in the core's hook slot and
+// returns the line as the hook left it.
+func (c *Core) runLineHook(hook func(*cache.Line), v cache.Line) cache.Line {
+	if c.hookBusy {
+		panic("machine: an eviction hook demoted a line")
+	}
+	c.hookBusy = true
+	c.hookLine = v
+	hook(&c.hookLine)
+	c.hookBusy = false
+	return c.hookLine
 }
 
 // PushAsync enters an asynchronous-persist section (background

@@ -17,11 +17,12 @@
 //     written back before ownership transfers (MESI-lite).
 //
 // Functional model. The program's current view of memory lives in one
-// flat volatile image shared by all cores; caches track placement and
-// SLPMT metadata only. The durable image inside the pmem.Device is
-// updated exclusively by persist operations (explicit line/log persists
-// and dirty L3 writebacks), so a crash snapshot contains exactly the
-// persisted bytes.
+// volatile pmem.Image (paged and sparse) shared by all cores; caches
+// track placement and SLPMT metadata only. The durable image the
+// pmem.Devices share is updated exclusively by persist operations
+// (explicit line/log persists and dirty L3 writebacks), so a crash
+// snapshot (a copy-on-write clone of it) contains exactly the persisted
+// bytes.
 //
 // The machine is policy-free: all transaction semantics (what to log,
 // what to persist at commit, lazy tracking) live in the engine layer,
@@ -135,7 +136,7 @@ type Machine struct {
 	Layout mem.Layout // core 0's view; heap/root regions are shared
 	cores  []*Core
 
-	vol []byte // functional program view of the PM address space
+	vol *pmem.Image // functional program view of the PM address space
 
 	// PersistTotal counts durable-write events machine-wide (across all
 	// cores, in interleave order); with CrashAfterTotal != 0 the machine
@@ -177,7 +178,7 @@ func New(cfg Config) *Machine {
 		PM:     dev,
 		Topo:   topo,
 		Layout: layouts[0],
-		vol:    make([]byte, dev.Size()),
+		vol:    pmem.NewImage(dev.Size()),
 	}
 	topo.SetTracer(cfg.Trace)
 	m.cores = make([]*Core, cfg.Cores)

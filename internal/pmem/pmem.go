@@ -8,7 +8,9 @@
 //
 //   - Durability: a write is copied into the durable image at enqueue
 //     time. On a crash/power failure the hardware drains the WPQ, so the
-//     durable image is exactly what recovery sees.
+//     durable image is exactly what recovery sees. The image is a
+//     paged, sparse Image (image.go), and a crash snapshot is a
+//     copy-on-write clone of it.
 //   - Timing: the WPQ holds a bounded number of bytes (512 B in the
 //     paper). Entries complete one after another, each taking the device
 //     write latency. When the queue is full, the enqueuing core stalls
@@ -102,7 +104,7 @@ type entry struct {
 // domain. It is not safe for concurrent use.
 type Device struct {
 	cfg     Config
-	durable []byte
+	durable *Image
 
 	// WPQ state. The live entries are queue[head:], sorted by finish
 	// time; drained entries stay below head until compaction reclaims
@@ -142,7 +144,7 @@ func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
 	return &Device{
 		cfg:     cfg,
-		durable: make([]byte, cfg.Size),
+		durable: NewImage(cfg.Size),
 	}
 }
 
@@ -150,7 +152,7 @@ func New(cfg Config) *Device {
 // topology-wide durable image (every socket's controller reaches the
 // whole physical address space — durability is global) but owns its own
 // WPQ, banks, and occupancy clock (timing is per socket).
-func newShared(cfg Config, durable []byte, socket int) *Device {
+func newShared(cfg Config, durable *Image, socket int) *Device {
 	return &Device{
 		cfg:     cfg,
 		durable: durable,
@@ -290,7 +292,7 @@ func (d *Device) Persist(now uint64, addr uint64, data []byte) (stall uint64) {
 		d.panicTooLarge(n)
 	}
 	// Durable immediately: inside the persist domain.
-	copy(d.durable[addr:], data)
+	d.durable.Write(addr, data)
 
 	stall = d.cfg.EnqueueCycles
 	t := now + stall
@@ -343,7 +345,7 @@ func (d *Device) PersistStream(now uint64, addr uint64, data []byte) (stall uint
 	if n > d.cfg.WPQBytes {
 		d.panicTooLarge(n)
 	}
-	copy(d.durable[addr:], data)
+	d.durable.Write(addr, data)
 	stall = d.cfg.EnqueueCycles
 	t := now + stall
 	d.drainUpTo(t)
@@ -415,7 +417,7 @@ func (d *Device) PersistAsync(now uint64, addr uint64, data []byte) (stall uint6
 	if addr+uint64(n) > d.cfg.Size {
 		d.panicOutOfRange("persist", addr, n)
 	}
-	copy(d.durable[addr:], data)
+	d.durable.Write(addr, data)
 	t := now + d.cfg.EnqueueCycles
 	d.drainUpTo(t)
 	// The posting engine waits for WPQ space on the device timeline
@@ -473,88 +475,22 @@ func (d *Device) Read(addr uint64, p []byte) {
 	if addr+uint64(len(p)) > d.cfg.Size {
 		panic(fmt.Sprintf("pmem: read out of range: addr=%#x n=%d", addr, len(p)))
 	}
-	copy(p, d.durable[addr:])
+	d.durable.Read(addr, p)
 }
 
 // ReadU64 reads a little-endian uint64 from the durable image.
-func (d *Device) ReadU64(addr uint64) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(d.durable[addr+uint64(i)]) << (8 * uint(i))
-	}
-	return v
-}
+func (d *Device) ReadU64(addr uint64) uint64 { return d.durable.ReadU64(addr) }
 
-// Image is a crash snapshot: the durable contents of the device at the
-// instant of a (simulated) power failure, after the ADR domain has been
-// flushed. Recovery operates on an Image.
-type Image struct {
-	Data []byte
-}
-
-// Crash returns a crash snapshot of the device. Because durability is
-// applied at WPQ enqueue, the snapshot is simply a copy of the durable
-// array — exactly the ADR semantics.
-func (d *Device) Crash() *Image {
-	data := make([]byte, len(d.durable))
-	copy(data, d.durable)
-	return &Image{Data: data}
-}
-
-// Restore overwrites the durable image with a crash snapshot and clears
-// the WPQ. It is used by the crash-injection harness to resume a machine
-// from a recovered image.
-func (d *Device) Restore(img *Image) {
-	if len(img.Data) != len(d.durable) {
-		panic("pmem: restore image size mismatch")
-	}
-	copy(d.durable, img.Data)
-	d.clearVolatile()
-}
-
-// clearVolatile drops the WPQ and the occupancy window — the volatile
-// controller state a restore discards. The durable image is untouched.
-func (d *Device) clearVolatile() {
-	d.queue = d.queue[:0]
-	d.head = 0
-	d.usedBytes = 0
-	d.lastFinish = 0
-	d.recent = d.recent[:0]
-	d.occIntegral = 0
-	d.occLastT = 0
-	d.occBase = 0
-	d.occMax = 0
-}
+// Crash returns a crash snapshot of the device: the durable contents at
+// the instant of a (simulated) power failure, after the ADR domain has
+// been flushed. Because durability is applied at WPQ enqueue, the
+// snapshot is the durable image itself, taken as a copy-on-write clone:
+// it costs the page table, and the device's later persists (or
+// recovery's writes to the snapshot) copy only the pages they touch.
+func (d *Device) Crash() *Image { return d.durable.Clone() }
 
 // Stats returns (entries enqueued, cycles stalled on a full WPQ) since
 // creation.
 func (d *Device) Stats() (enqueued, stallCycles uint64) {
 	return d.totalEnqueued, d.totalStall
-}
-
-// ReadU64Image reads a little-endian uint64 from a crash image.
-func (img *Image) ReadU64(addr uint64) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(img.Data[addr+uint64(i)]) << (8 * uint(i))
-	}
-	return v
-}
-
-// WriteU64 writes a little-endian uint64 into a crash image (used by
-// recovery when applying undo/redo records).
-func (img *Image) WriteU64(addr uint64, v uint64) {
-	for i := 0; i < 8; i++ {
-		img.Data[addr+uint64(i)] = byte(v >> (8 * uint(i)))
-	}
-}
-
-// Read copies n bytes at addr from the image into p.
-func (img *Image) Read(addr uint64, p []byte) {
-	copy(p, img.Data[addr:addr+uint64(len(p))])
-}
-
-// Write copies p into the image at addr.
-func (img *Image) Write(addr uint64, p []byte) {
-	copy(img.Data[addr:], p)
 }

@@ -22,7 +22,7 @@ func TestDurableAtEnqueue(t *testing.T) {
 		t.Error("data not durable immediately after Persist")
 	}
 	img := d.Crash()
-	if img.Data[128] != 0xAB {
+	if img.ReadU64(128) != 0xABABABABABABABAB {
 		t.Error("crash image missing persisted data")
 	}
 }
@@ -127,25 +127,34 @@ func TestQueueDepthDrains(t *testing.T) {
 	}
 }
 
-func TestRestore(t *testing.T) {
+// TestCrashSnapshotIsolation: a crash image is frozen at the crash.
+// The device's later persists do not reach it, and recovery's writes
+// to it do not reach the device.
+func TestCrashSnapshotIsolation(t *testing.T) {
 	d := New(Config{Size: 1 << 20})
 	d.Persist(0, 64, line(7))
 	img := d.Crash()
-	d.Persist(1008, 64, line(9))
-	d.Restore(img)
-	got := make([]byte, 64)
-	d.Read(64, got)
-	if got[0] != 7 {
-		t.Error("restore lost original data")
+	d.Persist(1008, 64, line(9))         // shared page: copied by the device
+	d.PersistAsync(2000, 1<<16, line(5)) // page absent at the crash
+	if img.ReadU64(64) != 0x0707070707070707 || img.ReadU64(1<<16) != 0 {
+		t.Error("a persist after the crash reached the snapshot")
 	}
-	d.Read(64*16, got) // region untouched in image
-	if d.ReadU64(128) != 0 {
-		t.Error("restore did not clear later writes")
+	img.WriteU64(128, 0x1122334455667788) // shared page: copied by the image
+	img.Write(1<<17, line(3))             // page absent on both sides
+	if d.ReadU64(128) != 0 || d.ReadU64(1<<17) != 0 {
+		t.Error("a write to the snapshot reached the device")
+	}
+	if d.ReadU64(64) != 0x0909090909090909 || d.ReadU64(1<<16) != 0x0505050505050505 {
+		t.Error("the device lost a persist made after the crash")
+	}
+	again := d.Crash()
+	if again.ReadU64(64) != 0x0909090909090909 || again.ReadU64(128) != 0 {
+		t.Error("a second snapshot does not match the device")
 	}
 }
 
 func TestImageAccessors(t *testing.T) {
-	img := &Image{Data: make([]byte, 1024)}
+	img := NewImage(3 * PageSize)
 	img.WriteU64(8, 0xdeadbeefcafe)
 	if img.ReadU64(8) != 0xdeadbeefcafe {
 		t.Error("image u64 roundtrip failed")
@@ -155,6 +164,32 @@ func TestImageAccessors(t *testing.T) {
 	img.Read(100, buf)
 	if !bytes.Equal(buf, []byte{1, 2, 3}) {
 		t.Error("image byte roundtrip failed")
+	}
+	// Page-crossing word and slice accesses.
+	img.WriteU64(PageSize-3, 0x0102030405060708)
+	if got := img.ReadU64(PageSize - 3); got != 0x0102030405060708 {
+		t.Errorf("page-crossing u64 = %#x", got)
+	}
+	long := line(0xEE)
+	img.Write(2*PageSize-32, long)
+	got := make([]byte, 64)
+	img.Read(2*PageSize-32, got)
+	if !bytes.Equal(got, long) {
+		t.Error("page-crossing byte roundtrip failed")
+	}
+	for _, f := range []func(){
+		func() { img.ReadU64(3*PageSize - 4) },
+		func() { img.Write(3*PageSize-1, []byte{1, 2}) },
+		func() { img.Read(^uint64(0), buf) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected out-of-range panic")
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -66,8 +66,7 @@ type SocketStats struct {
 // image, plus the distance matrix between them. Not safe for concurrent
 // use.
 type Topology struct {
-	devs    []*Device
-	durable []byte
+	devs []*Device
 	// enq[a][b] / read[a][b] are the extra cycles an access from socket
 	// a to socket b pays (0 on the diagonal).
 	enq  [][]uint64
@@ -86,9 +85,10 @@ func NewTopology(cfg TopoConfig) *Topology {
 	if cfg.RemoteReadCycles == 0 {
 		cfg.RemoteReadCycles = DefaultRemoteReadCycles
 	}
-	t := &Topology{durable: make([]byte, dev.Size)}
+	t := &Topology{}
+	durable := NewImage(dev.Size)
 	for s := 0; s < cfg.Sockets; s++ {
-		t.devs = append(t.devs, newShared(dev, t.durable, s))
+		t.devs = append(t.devs, newShared(dev, durable, s))
 	}
 	t.enq = make([][]uint64, cfg.Sockets)
 	t.read = make([][]uint64, cfg.Sockets)
@@ -145,18 +145,6 @@ func (t *Topology) SetTracer(tr *trace.Tracer) {
 // Crash returns a crash snapshot. The durable image is shared, so the
 // snapshot is complete regardless of which sockets absorbed writes.
 func (t *Topology) Crash() *Image { return t.devs[0].Crash() }
-
-// Restore overwrites the shared durable image with a crash snapshot and
-// clears every socket's WPQ.
-func (t *Topology) Restore(img *Image) {
-	if len(img.Data) != len(t.durable) {
-		panic("pmem: restore image size mismatch")
-	}
-	copy(t.durable, img.Data)
-	for _, d := range t.devs {
-		d.clearVolatile()
-	}
-}
 
 // ResetOccupancy restarts every socket's occupancy window at cycle now.
 func (t *Topology) ResetOccupancy(now uint64) {

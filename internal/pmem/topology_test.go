@@ -132,13 +132,25 @@ func TestSharedDurableImage(t *testing.T) {
 	line[0] = 0xAB
 	topo.Dev(1).Persist(0, 4096, line)
 	img := topo.Crash()
-	if img.Data[4096] != 0xAB {
+	if img.ReadU64(4096) != 0xAB {
 		t.Error("socket 1's write missing from the shared snapshot")
 	}
-	// Restore clears every socket's volatile queue.
-	topo.Dev(0).PersistAsync(0, 8192, zline())
-	topo.Restore(img)
-	if topo.QueueDepth(0) != 0 {
-		t.Error("restore left WPQ entries pending")
+	// The snapshot is isolated from every socket: a later persist
+	// through either controller misses it, and writes to it reach no
+	// device.
+	line[0] = 0xCD
+	topo.Dev(0).PersistAsync(0, 4096, line)
+	topo.Dev(1).PersistAsync(0, 8192, line)
+	if img.ReadU64(4096) != 0xAB || img.ReadU64(8192) != 0 {
+		t.Error("a persist after the crash reached the snapshot")
+	}
+	img.WriteU64(4096+8, 7)
+	for s := 0; s < 2; s++ {
+		if got := topo.Dev(s).ReadU64(4096); got != 0xCD {
+			t.Errorf("socket %d reads %#x at 4096, want the post-crash persist", s, got)
+		}
+		if got := topo.Dev(s).ReadU64(4096 + 8); got != 0 {
+			t.Errorf("socket %d sees the snapshot's write", s)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func (r *Report) String() string {
 // transaction are applied in reverse; redo records of a committed
 // transaction are replayed in order.
 func ApplyLog(img *pmem.Image) (*Report, error) {
-	return applyLogRegion(img, mem.DefaultLayout(uint64(len(img.Data))))
+	return applyLogRegion(img, mem.DefaultLayout(img.Size()))
 }
 
 // logUnit is one parsed application unit: a whole per-transaction log
@@ -169,8 +169,9 @@ func splitUnits(recs []logfmt.Record, hdr logfmt.Header, undo bool) []*logUnit {
 // original semantics: reverse an ACTIVE undo log, replay a COMMITTED
 // redo log.
 func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (*Report, []*logUnit, error) {
-	raw := img.Data[layout.LogBase : layout.LogBase+layout.LogSize]
-	hdr := logfmt.DecodeHeader(raw)
+	var line [logfmt.RecordsStart]byte
+	img.Read(layout.LogBase, line[:])
+	hdr := logfmt.DecodeHeader(line[:])
 	rep := &Report{LogSeq: hdr.Seq, LogState: hdr.State, Mode: hdr.Mode, LogEpoch: hdr.Epoch}
 	if hdr.Magic != logfmt.Magic {
 		// Never initialized: fresh image, nothing to do.
@@ -184,7 +185,7 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 		switch hdr.Mode {
 		case logfmt.ModeUndo:
 			if hdr.Watermark > boundary {
-				recs, err := logfmt.ParseRegion(raw, boundary, hdr.Watermark)
+				recs, err := logfmt.ParseRegion(readLog(img, layout, hdr.Watermark), boundary, hdr.Watermark)
 				if err != nil {
 					return rep, nil, fmt.Errorf("recovery: %w", err)
 				}
@@ -192,7 +193,7 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 			}
 		case logfmt.ModeRedo:
 			if boundary > logfmt.RecordsStart {
-				recs, err := logfmt.ParseRegion(raw, logfmt.RecordsStart, boundary)
+				recs, err := logfmt.ParseRegion(readLog(img, layout, boundary), logfmt.RecordsStart, boundary)
 				if err != nil {
 					return rep, nil, fmt.Errorf("recovery: %w", err)
 				}
@@ -203,13 +204,13 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 	}
 	switch {
 	case hdr.State == logfmt.StateActive && hdr.Mode == logfmt.ModeUndo:
-		recs, err := logfmt.ParseRecords(raw, hdr.Seq)
+		recs, err := logfmt.ParseRecords(readLog(img, layout, hdr.Watermark), hdr.Seq)
 		if err != nil {
 			return rep, nil, fmt.Errorf("recovery: %w", err)
 		}
 		return rep, []*logUnit{{seq: hdr.Seq, undo: true, recs: recs}}, nil
 	case hdr.State == logfmt.StateCommitted && hdr.Mode == logfmt.ModeRedo:
-		recs, err := logfmt.ParseRecords(raw, hdr.Seq)
+		recs, err := logfmt.ParseRecords(readLog(img, layout, hdr.Watermark), hdr.Seq)
 		if err != nil {
 			return rep, nil, fmt.Errorf("recovery: %w", err)
 		}
@@ -218,10 +219,25 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 	return rep, nil, nil
 }
 
+// readLog copies the first end bytes of a core's log area out of the
+// image: the header line plus the record prefix the header bounds, not
+// the whole region. An end past the area is a corrupt header; then only
+// the header line is copied, and the parser's bound check rejects the
+// header with logfmt.ErrCorrupt.
+func readLog(img *pmem.Image, layout mem.Layout, end uint64) []byte {
+	if end > layout.LogSize || end < logfmt.RecordsStart {
+		end = logfmt.RecordsStart
+	}
+	raw := make([]byte, end)
+	img.Read(layout.LogBase, raw)
+	return raw
+}
+
 // groupDesc reads the group-commit descriptor line from the image.
 func groupDesc(img *pmem.Image, layout mem.Layout) [logfmt.MaxGroupCores]logfmt.GroupEntry {
-	base := layout.GroupDesc()
-	return logfmt.DecodeGroupDesc(img.Data[base : base+mem.LineSize])
+	var line [mem.LineSize]byte
+	img.Read(layout.GroupDesc(), line[:])
+	return logfmt.DecodeGroupDesc(line[:])
 }
 
 // applyLogRegion applies one core's hardware log, addressed by its
@@ -287,7 +303,7 @@ func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int
 	if cores < 1 {
 		cores = 1
 	}
-	layouts := mem.MultiLayoutSockets(uint64(len(img.Data)), cores, sockets)
+	layouts := mem.MultiLayoutSockets(img.Size(), cores, sockets)
 	desc := groupDesc(img, layouts[0])
 	var rep *Report
 	var units []*logUnit

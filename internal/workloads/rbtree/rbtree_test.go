@@ -99,7 +99,7 @@ func TestParentPointersLazy(t *testing.T) {
 		collect(slpmt.Addr(img.ReadU64(uint64(n) + offLeft)))
 		collect(slpmt.Addr(img.ReadU64(uint64(n) + offRight)))
 	}
-	layoutRoot := img.ReadU64(uint64(len(img.Data)) - 4096)
+	layoutRoot := img.ReadU64(img.Size() - 4096)
 	collect(slpmt.Addr(layoutRoot))
 	if len(nodes) != len(keys) {
 		t.Fatalf("collected %d nodes", len(nodes))

@@ -62,6 +62,6 @@ if echo "$compare_out" | grep -Eq ' [1-9][0-9]* drifted'; then
 fi
 
 echo "== micro-benchmarks (one iteration each) =="
-go test -run '^$' -bench=Micro -benchtime=1x ./internal/engine/ ./internal/pmem/
+go test -run '^$' -bench=Micro -benchtime=1x ./internal/engine/ ./internal/pmem/ ./internal/machine/
 
 echo "ALL CHECKS PASSED"

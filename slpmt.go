@@ -137,6 +137,9 @@ type System struct {
 	rec    Recorder
 	inTx   bool
 	modes  systemModes
+	// copyBuf is Tx.Copy's staging buffer, reused across copies: the
+	// engine copies the bytes into its images and keeps no reference.
+	copyBuf []byte
 }
 
 // systemModes holds execution-mode flags.
@@ -389,7 +392,10 @@ func (tx *Tx) StoreTU64(addr Addr, v uint64, attr Attr) {
 // the compiler's Pattern 2 analysis keys on.
 func (tx *Tx) Copy(dst, src Addr, size int, attr Attr) {
 	tx.mutcheck()
-	buf := make([]byte, size)
+	if cap(tx.s.copyBuf) < size {
+		tx.s.copyBuf = make([]byte, size)
+	}
+	buf := tx.s.copyBuf[:size]
 	tx.s.Eng.Load(src, buf)
 	kind, a := tx.effective(attr)
 	tx.s.Eng.Store(dst, buf, kind, a)
