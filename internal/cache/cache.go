@@ -20,10 +20,18 @@
 // exercises only the E/M states; on a multi-core machine the snooping
 // protocol across the cores' private caches lives in internal/machine
 // (snoopFetch/snoopUpgrade), and aborts drop lines there too (§V-B).
+//
+// A level's tag array is paged: pages of 64 lines, each holding whole
+// consecutive sets, materialized by the first Insert that lands in
+// them. An absent page means its sets are empty, so a new cache costs
+// its page table and a machine costs the lines it touches. Placement
+// (set, way, LRU tie-break) and ForEach order are those of a flat
+// array; see DESIGN.md §16.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/persistmem/slpmt/internal/mem"
 )
@@ -122,24 +130,50 @@ type Config struct {
 	LatencyCycles uint64
 }
 
-// Cache is one set-associative level. Not safe for concurrent use.
-type Cache struct {
-	cfg      Config
-	sets     [][]Line
-	setCount int
-	setMask  uint64
-	tick     uint64
+// A page of a tag array is pageLines consecutive lines: a power of two
+// no smaller than any level's associativity, so a page holds
+// pageLines/ways whole, consecutive sets.
+const (
+	pageShift = 6
+	pageLines = 1 << pageShift
+)
 
-	// counters maintained for introspection; the machine layer mirrors
-	// the interesting ones into stats.Counters.
-	hits, misses, evicts uint64
+// page is one lazily materialized block of a tag array.
+type page [pageLines]Line
+
+// absent stands in for every page not yet materialized: all its lines
+// are Invalid and it is never written (Insert materializes a real page
+// first, and nothing else writes a line it did not find). Pointing
+// absent slots at it rather than leaving them nil spares the lookup
+// path a nil branch, which keeps Lookup, Peek, PeekSlot and Remove
+// within the compiler's inlining budget.
+var absent page
+
+// Cache is one set-associative level. Not safe for concurrent use.
+//
+// Lines are numbered by slot, set·ways+way, and the tag array is paged:
+// pages[p] holds slots [p·pageLines, (p+1)·pageLines). A page-table
+// entry holding &absent means every set in that page is empty. New allocates only the
+// page table; Insert materializes a page on first use. Pages never
+// move, so *Line pointers stay stable.
+type Cache struct {
+	latency   uint64
+	ways      uint64
+	slotShift uint   // LineShift - log2(ways)
+	slotMask  uint64 // (set count - 1) · ways
+	pages     []*page
+	tick      uint64
 }
 
 // New builds a cache level. SizeBytes must be a multiple of
-// Ways*LineSize and the resulting set count must be a power of two.
+// Ways*LineSize, Ways a power of two no larger than a page (64 lines),
+// and the resulting set count a power of two.
 func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cache: invalid geometry")
+	}
+	if cfg.Ways&(cfg.Ways-1) != 0 || cfg.Ways > pageLines {
+		panic(fmt.Sprintf("cache %s: %d ways is not a power of two up to %d", cfg.Name, cfg.Ways, pageLines))
 	}
 	lines := cfg.SizeBytes / mem.LineSize
 	if lines%cfg.Ways != 0 {
@@ -149,51 +183,56 @@ func New(cfg Config) *Cache {
 	if setCount&(setCount-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, setCount))
 	}
-	sets := make([][]Line, setCount)
-	backing := make([]Line, lines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	pages := make([]*page, (lines+pageLines-1)>>pageShift)
+	for i := range pages {
+		pages[i] = &absent
 	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setCount: setCount,
-		setMask:  uint64(setCount - 1),
+		latency:   cfg.LatencyCycles,
+		ways:      uint64(cfg.Ways),
+		slotShift: mem.LineShift - uint(bits.TrailingZeros(uint(cfg.Ways))),
+		slotMask:  uint64(setCount-1) * uint64(cfg.Ways),
+		pages:     pages,
 	}
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Latency returns the hit latency in cycles.
-func (c *Cache) Latency() uint64 { return c.cfg.LatencyCycles }
+func (c *Cache) Latency() uint64 { return c.latency }
 
-func (c *Cache) set(addr mem.Addr) []Line {
-	return c.sets[(addr>>mem.LineShift)&c.setMask]
+// slot0 returns the slot of way 0 of the set the line-aligned address
+// la maps to: (set index)·ways, as one shift and one mask. The low
+// LineShift bits of la are zero, so shifting right by LineShift-log2(ways)
+// leaves the way bits zero. No division on the lookup path.
+func (c *Cache) slot0(la mem.Addr) uint64 {
+	return la >> c.slotShift & c.slotMask
+}
+
+// set returns the ways of the set whose first slot is s0. On an absent
+// page they are absent's Invalid lines, so a lookup simply misses.
+func (c *Cache) set(s0 uint64) []Line {
+	return c.pages[s0>>pageShift][s0&(pageLines-1):][:c.ways]
 }
 
 // Lookup returns the line holding addr, bumping its LRU age, or nil on a
 // miss. addr need not be line-aligned.
 func (c *Cache) Lookup(addr mem.Addr) *Line {
 	la := mem.LineAddr(addr)
-	set := c.set(la)
+	set := c.set(c.slot0(la))
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
 			c.tick++
 			set[i].lru = c.tick
-			c.hits++
 			return &set[i]
 		}
 	}
-	c.misses++
 	return nil
 }
 
-// Peek returns the line holding addr without affecting LRU or counters,
-// or nil if absent.
+// Peek returns the line holding addr without affecting LRU, or nil if
+// absent.
 func (c *Cache) Peek(addr mem.Addr) *Line {
 	la := mem.LineAddr(addr)
-	set := c.set(la)
+	set := c.set(c.slot0(la))
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
 			return &set[i]
@@ -208,11 +247,11 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 // whole-cache walk's order. The slot is -1 when the line is absent.
 func (c *Cache) PeekSlot(addr mem.Addr) (*Line, int) {
 	la := mem.LineAddr(addr)
-	s := int((la >> mem.LineShift) & c.setMask)
-	set := c.sets[s]
+	s0 := c.slot0(la)
+	set := c.set(s0)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
-			return &set[i], s*c.cfg.Ways + i
+			return &set[i], int(s0) + i
 		}
 	}
 	return nil, -1
@@ -223,45 +262,56 @@ func (c *Cache) PeekSlot(addr mem.Addr) (*Line, int) {
 // returned with evicted=true. The caller (the machine layer) is
 // responsible for propagating the victim down the hierarchy. Inserting a
 // line that is already present overwrites its metadata.
+//
+// The way is chosen in one pass over the set: the line's own way if it
+// is present, else the lowest free way, else the lowest-index way with
+// the minimum LRU age.
 func (c *Cache) Insert(l Line) (inserted *Line, victim Line, evicted bool) {
 	la := mem.LineAddr(l.Addr)
 	l.Addr = la
-	set := c.set(la)
+	s0 := c.slot0(la)
+	if c.pages[s0>>pageShift] == &absent {
+		c.materialize(s0 >> pageShift)
+	}
+	set := c.set(s0)
 	c.tick++
 	l.lru = c.tick
 
-	// Already present? Overwrite in place.
+	free, vi := -1, 0
 	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == la {
+		switch {
+		case set[i].State == Invalid:
+			if free < 0 {
+				free = i
+			}
+		case set[i].Addr == la:
 			set[i] = l
 			return &set[i], Line{}, false
-		}
-	}
-	// Free way?
-	for i := range set {
-		if set[i].State == Invalid {
-			set[i] = l
-			return &set[i], Line{}, false
-		}
-	}
-	// Evict LRU.
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[vi].lru {
+		case set[i].lru < set[vi].lru:
 			vi = i
 		}
 	}
+	if free >= 0 {
+		set[free] = l
+		return &set[free], Line{}, false
+	}
 	victim = set[vi]
 	set[vi] = l
-	c.evicts++
 	return &set[vi], victim, true
+}
+
+// materialize allocates page p: Insert's cold path, kept out of line.
+//
+//go:noinline
+func (c *Cache) materialize(p uint64) {
+	c.pages[p] = new(page)
 }
 
 // Remove deletes the line holding addr, returning its copy and true if
 // it was present.
 func (c *Cache) Remove(addr mem.Addr) (Line, bool) {
 	la := mem.LineAddr(addr)
-	set := c.set(la)
+	set := c.set(c.slot0(la))
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == la {
 			l := set[i]
@@ -272,37 +322,17 @@ func (c *Cache) Remove(addr mem.Addr) (Line, bool) {
 	return Line{}, false
 }
 
-// ForEach invokes fn on every valid line. fn may mutate the line but
-// must not insert or remove lines.
+// ForEach invokes fn on every valid line in slot (set·ways+way) order.
+// fn may mutate the line but must not insert or remove lines.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].State != Invalid {
-				fn(&c.sets[s][i])
+	for _, p := range c.pages {
+		if p == &absent {
+			continue
+		}
+		for i := range p {
+			if p[i].State != Invalid {
+				fn(&p[i])
 			}
 		}
 	}
-}
-
-// Flush invalidates every line. Victims are discarded; callers needing
-// writebacks must ForEach first.
-func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			//slpmt:obsonly-ok: false edge from the stream writer's flusher interface — Cache satisfies it structurally but is never registered as a stream consumer (cache and trace/stream share no conversion site)
-			c.sets[s][i] = Line{}
-		}
-	}
-}
-
-// Count returns the number of valid lines.
-func (c *Cache) Count() int {
-	n := 0
-	c.ForEach(func(*Line) { n++ })
-	return n
-}
-
-// Stats returns (hits, misses, evictions) since creation.
-func (c *Cache) Stats() (hits, misses, evicts uint64) {
-	return c.hits, c.misses, c.evicts
 }

@@ -16,14 +16,16 @@ func TestLookupMissThenInsert(t *testing.T) {
 	if c.Lookup(0x1000) != nil {
 		t.Fatal("hit on empty cache")
 	}
+	if c.tick != 0 {
+		t.Errorf("a miss aged the cache: tick=%d", c.tick)
+	}
 	c.Insert(Line{Addr: 0x1000, State: Exclusive})
 	l := c.Lookup(0x1000 + 63) // any byte of the line
 	if l == nil || l.Addr != 0x1000 {
 		t.Fatal("line not found after insert")
 	}
-	hits, misses, _ := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats hits=%d misses=%d", hits, misses)
+	if c.tick != 2 || l.lru != c.tick {
+		t.Errorf("hit did not bump the LRU age: tick=%d lru=%d", c.tick, l.lru)
 	}
 }
 
@@ -53,8 +55,8 @@ func TestInsertOverwritesInPlace(t *testing.T) {
 	if l.LogBits != 0xF0 || l.State != Exclusive {
 		t.Errorf("overwrite did not take: %+v", l)
 	}
-	if c.Count() != 1 {
-		t.Errorf("count = %d, want 1", c.Count())
+	if n := countLines(c); n != 1 {
+		t.Errorf("count = %d, want 1", n)
 	}
 }
 
@@ -102,19 +104,28 @@ func TestFoldConservative(t *testing.T) {
 	}
 }
 
-func TestForEachAndFlush(t *testing.T) {
+// countLines returns the number of valid lines.
+func countLines(c *Cache) int {
+	n := 0
+	c.ForEach(func(*Line) { n++ })
+	return n
+}
+
+func TestForEachAndRemove(t *testing.T) {
 	c := newL1()
 	for i := 0; i < 10; i++ {
 		c.Insert(Line{Addr: mem.Addr(i * 64), State: Modified})
 	}
-	n := 0
-	c.ForEach(func(l *Line) { n++ })
-	if n != 10 {
-		t.Errorf("ForEach visited %d, want 10", n)
+	var addrs []mem.Addr
+	c.ForEach(func(l *Line) { addrs = append(addrs, l.Addr) })
+	if len(addrs) != 10 {
+		t.Errorf("ForEach visited %d, want 10", len(addrs))
 	}
-	c.Flush()
-	if c.Count() != 0 {
-		t.Error("flush left lines")
+	for _, a := range addrs {
+		c.Remove(a)
+	}
+	if n := countLines(c); n != 0 {
+		t.Errorf("removing every visited line left %d", n)
 	}
 }
 
@@ -123,6 +134,8 @@ func TestGeometryValidation(t *testing.T) {
 		{Name: "bad", SizeBytes: 0, Ways: 4},
 		{Name: "bad", SizeBytes: 192, Ways: 4},        // not divisible
 		{Name: "bad", SizeBytes: 3 * 64 * 4, Ways: 4}, // sets not power of two
+		{Name: "bad", SizeBytes: 12 * 64, Ways: 3},    // ways not power of two
+		{Name: "bad", SizeBytes: 128 * 64, Ways: 128}, // set larger than a page
 	} {
 		func() {
 			defer func() {

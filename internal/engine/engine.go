@@ -191,19 +191,21 @@ func (e *Engine) refreshRecord(r logbuf.Record) logbuf.Record {
 	return logbuf.Record{Addr: r.Addr, Data: data, Speculative: r.Speculative}
 }
 
-// scratchBlock sizes the arena growth step; large enough that even a
-// line-granularity transaction rarely grows twice.
-const scratchBlock = 1 << 16
+// The arena's first block is scratchFirst bytes and each later block
+// doubles, up to scratchBlock: an engine that runs only short
+// transactions (a crash-campaign point) never pays for the large block,
+// and one that grows to it rarely grows again.
+const (
+	scratchFirst = 1 << 9
+	scratchBlock = 1 << 16
+)
 
 // scratchBytes returns n bytes of transaction-lifetime scratch from the
 // arena. Earlier blocks stay alive through the records referencing
 // them; the arena as a whole is recycled at Begin.
 func (e *Engine) scratchBytes(n int) []byte {
 	if e.scratchOff+n > len(e.scratch) {
-		size := scratchBlock
-		if n > size {
-			size = n
-		}
+		size := max(min(2*len(e.scratch), scratchBlock), scratchFirst, n)
 		e.scratch = make([]byte, size)
 		e.scratchOff = 0
 	}
@@ -1138,8 +1140,7 @@ func (e *Engine) activeLogged(la mem.Addr) bool {
 // results are persisted WITHOUT touching the volatile lines, which
 // hold a running transaction's newer, uncommitted data.
 func (e *Engine) shadowPersistCommitted(lines []mem.Addr, to uint64) {
-	raw := make([]byte, to)
-	e.m.PM.Read(e.m.Layout.LogBase, raw)
+	raw := logfmt.ReadPrefix(e.m.PM, e.m.Layout.LogBase, e.m.Layout.LogSize, to)
 	recs, err := logfmt.ParseRegion(raw, logfmt.RecordsStart, to)
 	if err != nil {
 		panic(fmt.Sprintf("engine: corrupt own log at epoch close: %v", err))
@@ -1294,8 +1295,8 @@ func (e *Engine) abortGrouped() {
 	} else {
 		e.sink.clear()
 	}
-	raw := make([]byte, e.m.Layout.LogSize)
-	e.m.PM.Read(e.m.Layout.LogBase, raw)
+	// Both branches parse below nextOff: read only that prefix.
+	raw := logfmt.ReadPrefix(e.m.PM, e.m.Layout.LogBase, e.m.Layout.LogSize, e.w.nextOff)
 	if e.cfg.Mode == Undo {
 		// Reverse-apply the suffix. Restoring straight from the durable
 		// image (the W=1 path) would resurrect pre-EPOCH values — the
@@ -1353,8 +1354,7 @@ func (e *Engine) Abort() {
 			// Apply durable undo records to persistent data (records for
 			// never-evicted lines never reached PM; their volatile updates
 			// are dropped below).
-			raw := make([]byte, e.m.Layout.LogSize)
-			e.m.PM.Read(e.m.Layout.LogBase, raw)
+			raw := logfmt.ReadToWatermark(e.m.PM, e.m.Layout.LogBase, e.m.Layout.LogSize)
 			recs, err := logfmt.ParseRecords(raw, e.cur.seq)
 			if err != nil {
 				panic(fmt.Sprintf("engine: corrupt own log on abort: %v", err))

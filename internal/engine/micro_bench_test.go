@@ -171,3 +171,27 @@ func BenchmarkMicroCommitAfterLargeTxn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMicroAbortUndo aborts an undo transaction of eight logged
+// lines, per-transaction (w1) and under group commit (w4). Each abort
+// reads back only the log prefix the header or the writer bounds, so
+// its cost follows the transaction, not the 4 MiB log area.
+func BenchmarkMicroAbortUndo(b *testing.B) {
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			cfg := slpmtCfg()
+			cfg.CommitWindow = w
+			e, m := newEng(cfg)
+			base := m.Layout.HeapBase
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Begin()
+				for l := 0; l < 8; l++ {
+					e.StoreU64(base+mem.Addr(l)*mem.LineSize, uint64(i), isa.Store, isa.Plain)
+				}
+				e.Abort()
+			}
+		})
+	}
+}

@@ -229,6 +229,34 @@ func DecodeAddrWord(w uint64) (addr mem.Addr, n int, tag uint16, ok bool) {
 	return addr, n, tag, true
 }
 
+// Reader reads bytes of persistent memory: a device's current contents
+// or a crash image.
+type Reader interface {
+	Read(addr uint64, p []byte)
+}
+
+// ReadPrefix copies the first end bytes of the log area at base out of
+// r: the header line plus the record prefix a bound from the header or
+// the writer delimits, not the whole area of size bytes. An end outside
+// [RecordsStart, size] is a corrupt bound; then only the header line is
+// copied, and the parsers' bound checks reject it with ErrCorrupt.
+func ReadPrefix(r Reader, base mem.Addr, size, end uint64) []byte {
+	if end > size || end < RecordsStart {
+		end = RecordsStart
+	}
+	raw := make([]byte, end)
+	r.Read(base, raw)
+	return raw
+}
+
+// ReadToWatermark reads the log area's header line, then the prefix up
+// to the header's watermark: everything ParseRecords looks at.
+func ReadToWatermark(r Reader, base mem.Addr, size uint64) []byte {
+	var line [RecordsStart]byte
+	r.Read(base, line[:])
+	return ReadPrefix(r, base, size, DecodeHeader(line[:]).Watermark)
+}
+
 // Record is a decoded log record.
 type Record struct {
 	Addr mem.Addr

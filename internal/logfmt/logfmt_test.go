@@ -144,3 +144,43 @@ func TestSizeCodes(t *testing.T) {
 		t.Error("invalid sizes not rejected")
 	}
 }
+
+// logArea is a Reader over a log area mapped at base.
+type logArea struct {
+	base mem.Addr
+	raw  []byte
+}
+
+func (a logArea) Read(addr uint64, p []byte) { copy(p, a.raw[addr-a.base:]) }
+
+// TestReadToWatermark: the bounded read copies exactly the header plus
+// the watermark's prefix, and parses to the same records as the whole
+// area; a corrupt watermark copies only the header and still fails to
+// parse.
+func TestReadToWatermark(t *testing.T) {
+	recs := []Record{
+		{Addr: 0x1000, Data: make([]byte, 8)},
+		{Addr: 0x2000, Data: make([]byte, 16)},
+	}
+	mark := uint64(RecordsStart + 16 + 24)
+	area := logArea{base: 0x10000, raw: buildLog(7, recs, mark)}
+	size := uint64(len(area.raw))
+	raw := ReadToWatermark(area, area.base, size)
+	if uint64(len(raw)) != mark {
+		t.Fatalf("read %d bytes, want the %d up to the watermark", len(raw), mark)
+	}
+	got, err := ParseRecords(raw, 7)
+	want, _ := ParseRecords(area.raw, 7)
+	if err != nil || len(got) != len(want) || len(got) != 2 {
+		t.Fatalf("bounded read parsed %d records (err %v), whole area %d", len(got), err, len(want))
+	}
+
+	bad := logArea{base: area.base, raw: buildLog(7, recs, size+8)}
+	raw = ReadToWatermark(bad, bad.base, size)
+	if len(raw) != RecordsStart {
+		t.Errorf("corrupt watermark read %d bytes, want the header only", len(raw))
+	}
+	if _, err := ParseRecords(raw, 7); err == nil {
+		t.Error("corrupt watermark accepted after a bounded read")
+	}
+}

@@ -177,6 +177,9 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 		// Never initialized: fresh image, nothing to do.
 		return rep, nil, nil
 	}
+	// readLog copies the header line plus the record prefix up to end,
+	// not the whole region.
+	readLog := func(end uint64) []byte { return logfmt.ReadPrefix(img, layout.LogBase, layout.LogSize, end) }
 	if hdr.CommittedTo >= logfmt.RecordsStart {
 		boundary := hdr.CommittedTo
 		if uint64(ent.Epoch) == hdr.Epoch && uint64(ent.Boundary) > boundary {
@@ -185,7 +188,7 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 		switch hdr.Mode {
 		case logfmt.ModeUndo:
 			if hdr.Watermark > boundary {
-				recs, err := logfmt.ParseRegion(readLog(img, layout, hdr.Watermark), boundary, hdr.Watermark)
+				recs, err := logfmt.ParseRegion(readLog(hdr.Watermark), boundary, hdr.Watermark)
 				if err != nil {
 					return rep, nil, fmt.Errorf("recovery: %w", err)
 				}
@@ -193,7 +196,7 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 			}
 		case logfmt.ModeRedo:
 			if boundary > logfmt.RecordsStart {
-				recs, err := logfmt.ParseRegion(readLog(img, layout, boundary), logfmt.RecordsStart, boundary)
+				recs, err := logfmt.ParseRegion(readLog(boundary), logfmt.RecordsStart, boundary)
 				if err != nil {
 					return rep, nil, fmt.Errorf("recovery: %w", err)
 				}
@@ -204,33 +207,19 @@ func parseLogRegion(img *pmem.Image, layout mem.Layout, ent logfmt.GroupEntry) (
 	}
 	switch {
 	case hdr.State == logfmt.StateActive && hdr.Mode == logfmt.ModeUndo:
-		recs, err := logfmt.ParseRecords(readLog(img, layout, hdr.Watermark), hdr.Seq)
+		recs, err := logfmt.ParseRecords(readLog(hdr.Watermark), hdr.Seq)
 		if err != nil {
 			return rep, nil, fmt.Errorf("recovery: %w", err)
 		}
 		return rep, []*logUnit{{seq: hdr.Seq, undo: true, recs: recs}}, nil
 	case hdr.State == logfmt.StateCommitted && hdr.Mode == logfmt.ModeRedo:
-		recs, err := logfmt.ParseRecords(readLog(img, layout, hdr.Watermark), hdr.Seq)
+		recs, err := logfmt.ParseRecords(readLog(hdr.Watermark), hdr.Seq)
 		if err != nil {
 			return rep, nil, fmt.Errorf("recovery: %w", err)
 		}
 		return rep, []*logUnit{{seq: hdr.Seq, recs: recs}}, nil
 	}
 	return rep, nil, nil
-}
-
-// readLog copies the first end bytes of a core's log area out of the
-// image: the header line plus the record prefix the header bounds, not
-// the whole region. An end past the area is a corrupt header; then only
-// the header line is copied, and the parser's bound check rejects the
-// header with logfmt.ErrCorrupt.
-func readLog(img *pmem.Image, layout mem.Layout, end uint64) []byte {
-	if end > layout.LogSize || end < logfmt.RecordsStart {
-		end = logfmt.RecordsStart
-	}
-	raw := make([]byte, end)
-	img.Read(layout.LogBase, raw)
-	return raw
 }
 
 // groupDesc reads the group-commit descriptor line from the image.

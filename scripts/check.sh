@@ -62,6 +62,6 @@ if echo "$compare_out" | grep -Eq ' [1-9][0-9]* drifted'; then
 fi
 
 echo "== micro-benchmarks (one iteration each) =="
-go test -run '^$' -bench=Micro -benchtime=1x ./internal/engine/ ./internal/pmem/ ./internal/machine/
+go test -run '^$' -bench=Micro -benchtime=1x ./internal/engine/ ./internal/pmem/ ./internal/machine/ ./internal/cache/
 
 echo "ALL CHECKS PASSED"
