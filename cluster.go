@@ -38,9 +38,9 @@ type tickMux struct{ c *machine.Core }
 
 func (t *tickMux) Tick(n uint64) { t.c.Tick(n) }
 
-// NewCluster builds a platform with the given core count. Every core
-// runs the same scheme. NewCluster(1, opts) is timing-equivalent to
-// New(opts).
+// NewCluster builds a platform with the given core count (at least
+// one). Every core runs the same scheme. New(opts) is core 0 of
+// NewCluster(1, opts).
 func NewCluster(cores int, opts Options) *Cluster {
 	if cores < 1 {
 		cores = 1
@@ -77,18 +77,25 @@ func NewCluster(cores int, opts Options) *Cluster {
 		engines[i] = e
 		heap := heaps[i]
 		if cfg.CommitWindow > 1 {
-			// See New: epoch-quarantined frees release only once the
-			// freeing epoch's commit point is durable. Group closes seal
-			// every core's epoch together, so releasing the shared
-			// heap's parked frees at any engine's close is sound. On a
-			// sharded heap each engine's close releases its own
-			// handle's frees; sibling handles' frees wait for their own
-			// core's close, which only lengthens the quarantine
-			// (conservative, still sound).
+			// Committed frees stay quarantined until their epoch's
+			// commit point is durable — reuse inside the window would
+			// scribble log-free stores over blocks the durable state
+			// still reaches. Group closes seal every core's epoch
+			// together, so releasing the shared heap's parked frees at
+			// any engine's close is sound. On a sharded heap each
+			// engine's close releases its own handle's frees; sibling
+			// handles' frees wait for their own core's close, which
+			// only lengthens the quarantine (conservative, still
+			// sound).
 			heap.EpochQuarantine(true)
 			e.SetEpochCloseHook(heap.ReleaseEpochFrees)
 		}
 		cl.Sys = append(cl.Sys, &System{Eng: e, Mach: c, Heap: heap, scheme: name})
+	}
+	if cores == 1 {
+		// No remote engine to check and no epoch to coordinate: the
+		// single-core store path makes no per-store hook call.
+		return cl
 	}
 	plat.OnRemoteStore = func(src int, line mem.Addr) {
 		for i, e := range engines {
@@ -97,7 +104,7 @@ func NewCluster(cores int, opts Options) *Cluster {
 			}
 		}
 	}
-	if cfg.CommitWindow > 1 && cores > 1 {
+	if cfg.CommitWindow > 1 {
 		// Transactions on different cores exchange cache lines inside a
 		// commit window, so per-core epochs must become durable together:
 		// the group coordinates atomic multi-core closes and numbers
@@ -146,6 +153,33 @@ func (cl *Cluster) Interleave(stream func(core int, sys *System) bool) {
 			remaining--
 		}
 	}
+}
+
+// RoundRobin runs operations 0..n-1 sharded round-robin across the
+// cores under Interleave: core i runs operations i, i+cores, ... in
+// order, and op(sys, j) runs operation j on the executing core's
+// System. The first error stops every core and is returned. This is
+// how harnesses drive one deterministic operation stream on any core
+// count; on one core it is the stream in order.
+func (cl *Cluster) RoundRobin(n int, op func(sys *System, j int) error) error {
+	cores := len(cl.Sys)
+	next := make([]int, cores)
+	for i := range next {
+		next[i] = i
+	}
+	var err error
+	cl.Interleave(func(core int, sys *System) bool {
+		j := next[core]
+		if j >= n || err != nil {
+			return false
+		}
+		next[core] = j + cores
+		if err = op(sys, j); err != nil {
+			return false
+		}
+		return next[core] < n
+	})
+	return err
 }
 
 // SyncClocks aligns every core to the highest clock — the barrier

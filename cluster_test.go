@@ -26,24 +26,17 @@ func runShardedInserts(t *testing.T, cores, n int) (*slpmt.Cluster, uint64) {
 	}
 	cl.SyncClocks()
 
-	next := make([]int, cores)
-	for i := range next {
-		next[i] = i
-	}
-	cl.Interleave(func(core int, sys *slpmt.System) bool {
-		j := next[core]
-		if j >= n {
-			return false
+	if err := cl.RoundRobin(n, func(sys *slpmt.System, j int) error {
+		if sys != cl.Sys[j%cores] {
+			t.Fatalf("insert %d ran off core %d", j, j%cores)
 		}
-		next[core] = j + cores
-		if err := sys.Update(func(tx *slpmt.Tx) error {
+		return sys.Update(func(tx *slpmt.Tx) error {
 			tx.StoreU64(arr+slpmt.Addr(j*8), uint64(j)+1)
 			return nil
-		}); err != nil {
-			t.Fatalf("core %d insert %d: %v", core, j, err)
-		}
-		return next[core] < n
-	})
+		})
+	}); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
 	cl.DrainLazy()
 
 	// Every slot must hold its value regardless of which core wrote it.
@@ -103,29 +96,6 @@ func TestClusterCoherenceEventsFire(t *testing.T) {
 	if st.CoherenceSnoops == 0 || st.CoherenceInvalidations == 0 {
 		t.Errorf("no coherence events on a shared hot line: snoops=%d invalidations=%d",
 			st.CoherenceSnoops, st.CoherenceInvalidations)
-	}
-}
-
-func TestClusterSingleCoreMatchesSystem(t *testing.T) {
-	// NewCluster(1, opts) must be timing-identical to New(opts).
-	sys := slpmt.New(slpmt.Options{Scheme: "SLPMT"})
-	cl := slpmt.NewCluster(1, slpmt.Options{Scheme: "SLPMT"})
-	run := func(s *slpmt.System) uint64 {
-		var a slpmt.Addr
-		if err := s.Update(func(tx *slpmt.Tx) error {
-			a = tx.Alloc(256)
-			for i := 0; i < 32; i++ {
-				tx.StoreU64(a+slpmt.Addr(i*8), uint64(i))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.DrainLazy()
-		return s.Mach.Clk
-	}
-	if c1, c2 := run(sys), run(cl.Use(0)); c1 != c2 {
-		t.Errorf("1-core cluster clock %d differs from System clock %d", c2, c1)
 	}
 }
 

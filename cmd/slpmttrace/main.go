@@ -139,13 +139,13 @@ func main() {
 		fmt.Println("  workload is not Recoverable")
 		os.Exit(1)
 	}
-	rep, heap, err := recovery.RecoverN(img, rec, *cores)
+	rep, heaps, err := recovery.RecoverSharded(img, rec, *cores, 1)
 	if err != nil {
 		fmt.Printf("  FAILED: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("  %s\n", rep)
-	_, _, _, live := heap.Stats()
+	_, _, _, live := heaps[0].Stats()
 	fmt.Printf("  rebuilt heap: %d live bytes\n", live)
 }
 
@@ -156,48 +156,14 @@ func head(p []byte, n int) []byte {
 	return p
 }
 
+// execute runs the deterministic insert stream sharded round-robin
+// across a cluster of the given core count (on one core: the stream in
+// order), crashing when the machine-wide persist total hits the
+// requested event (whichever core issues it).
 func execute(workload, scheme string, n, value, cores int, seed, crash uint64) (img *pmem.Image, crashed bool, events uint64) {
-	if cores > 1 {
-		return executeMulti(workload, scheme, n, value, cores, seed, crash)
-	}
-	w := workloads.MustNew(workload)
-	sys := slpmt.New(slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
-	sys.Mach.CrashAfter = crash
-	defer func() {
-		events = sys.Mach.PersistCount
-	}()
-	run := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(machine.CrashSignal); !ok {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		if err := w.Setup(sys); err != nil {
-			return err
-		}
-		load := ycsb.Load{N: n, ValueSize: value, Seed: seed}
-		return load.Each(func(k uint64, v []byte) error { return w.Insert(sys, k, v) })
-	}
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "slpmttrace: %v\n", err)
-		os.Exit(1)
-	}
-	return sys.Mach.Crash(), crashed, sys.Mach.PersistCount
-}
-
-// executeMulti runs the same deterministic stream sharded round-robin
-// across a cluster, crashing when the machine-wide persist total hits
-// the requested event (whichever core issues it).
-func executeMulti(workload, scheme string, n, value, cores int, seed, crash uint64) (img *pmem.Image, crashed bool, events uint64) {
 	w := workloads.MustNew(workload)
 	cl := slpmt.NewCluster(cores, slpmt.Options{Scheme: scheme, ComputeCyclesPerOp: w.ComputeCost()})
 	cl.Plat.CrashAfterTotal = crash
-	defer func() {
-		events = cl.Plat.PersistTotal
-	}()
 	run := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -212,25 +178,9 @@ func executeMulti(workload, scheme string, n, value, cores int, seed, crash uint
 		}
 		load := ycsb.Load{N: n, ValueSize: value, Seed: seed}
 		keys := load.Keys()
-		next := make([]int, cores)
-		for i := range next {
-			next[i] = i
-		}
-		var opErr error
-		cl.Interleave(func(core int, sys *slpmt.System) bool {
-			j := next[core]
-			if j >= len(keys) || opErr != nil {
-				return false
-			}
-			next[core] = j + cores
-			k := keys[j]
-			if e := w.Insert(sys, k, load.Value(k)); e != nil {
-				opErr = e
-				return false
-			}
-			return next[core] < len(keys)
+		return cl.RoundRobin(len(keys), func(sys *slpmt.System, j int) error {
+			return w.Insert(sys, keys[j], load.Value(keys[j]))
 		})
-		return opErr
 	}
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "slpmttrace: %v\n", err)

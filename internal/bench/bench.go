@@ -50,7 +50,7 @@ type RunConfig struct {
 	// platform). Multi-core runs shard the key stream round-robin
 	// across the cores of one shared structure and interleave them
 	// deterministically; Cycles is then the parallel phase's makespan
-	// (see RunMulti).
+	// (see Run).
 	Cores int
 	// Sockets is the PM socket (NUMA node) count: each socket is its
 	// own device behind a hop-linear interconnect and the heap is
@@ -174,33 +174,41 @@ func runOptions(cfg RunConfig, w workloads.Workload, obs *observer) slpmt.Option
 	}
 }
 
-// Run executes one benchmark under one scheme and returns the measured
-// region's statistics.
+// Run executes one benchmark and returns the measured region's
+// statistics. The structure is built on core 0, the deterministic key
+// stream is sharded round-robin across the cores of one shared
+// structure (on one core: the stream in order), and the per-core
+// insert streams run under the cluster's deterministic interleaver.
+// The measured region starts at a clock barrier after setup and ends
+// when the last core finishes its shard plus the final lazy drain, so
+// Cycles is the parallel makespan; Counters is the merged per-core
+// delta. Results are exactly reproducible for a given (config, seed).
 func Run(cfg RunConfig) Result {
-	if cfg.Cores > 1 {
-		return RunMulti(cfg)
-	}
+	cores := max(cfg.Cores, 1)
 	w := workloads.MustNew(cfg.Workload)
-	obs := newObserver(cfg, 1)
-	sys := slpmt.New(runOptions(cfg, w, obs))
-	if err := w.Setup(sys); err != nil {
+	obs := newObserver(cfg, cores)
+	cl := slpmt.NewCluster(cores, runOptions(cfg, w, obs))
+	if err := w.Setup(cl.Use(0)); err != nil {
 		panic(fmt.Sprintf("bench: setup %s: %v", cfg.Workload, err))
 	}
 	// Seal any epoch left open by setup so the measured region starts at
 	// a durability boundary and carries none of setup's deferred work.
-	sys.FinishEpoch()
+	// A grouped close seals every core's epoch, so closing core 0's
+	// (the only one setup ran on) makes all of setup durable.
+	cl.Use(0).FinishEpoch()
 
 	load := ycsb.Load{N: cfg.N, ValueSize: cfg.ValueSize, Seed: cfg.Seed}
-	start := sys.Stats().Snapshot()
-	startCycles := sys.Cycles()
-	// The topology is the occupancy surface: on a single-device machine
-	// it delegates to the one device, so the gauges are unchanged.
-	topo := sys.Mach.Machine().Topo
-	if err := obs.begin(topo, startCycles); err != nil {
+	keys := load.Keys()
+	start := cl.Stats()
+	startClk := cl.SyncClocks()
+	// The topology is the occupancy surface: it covers every socket's
+	// queue and delegates to the one device on single-socket machines.
+	topo := cl.Plat.Topo
+	if err := obs.begin(topo, startClk); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	err := load.Each(func(key uint64, value []byte) error {
-		return w.Insert(sys, key, value)
+	err := cl.RoundRobin(len(keys), func(sys *slpmt.System, j int) error {
+		return w.Insert(sys, keys[j], load.Value(keys[j]))
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s/%s insert: %v", cfg.Scheme, cfg.Workload, err))
@@ -208,24 +216,31 @@ func Run(cfg RunConfig) Result {
 	// Account deferred lazy persists inside the measured region so lazy
 	// schemes are not credited with traffic that merely moved past the
 	// measurement boundary.
-	sys.DrainLazy()
+	cl.DrainLazy()
+	merged := cl.Stats()
 	res := Result{
 		RunConfig: cfg,
-		Cycles:    sys.Cycles() - startCycles,
-		Counters:  sys.Stats().Delta(start),
+		Cycles:    cl.MaxClk() - startClk,
+		Counters:  merged.Delta(start),
 	}
-	if err := obs.end(&res, topo, sys.Cycles()); err != nil {
+	if err := obs.end(&res, topo, cl.MaxClk()); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	if topo.Sockets() > 1 {
 		res.PerSocket = &SocketBreakdown{Stats: topo.SocketStats()}
 	}
 	if obs.prof != nil {
-		// Snapshot before verification advances the clock further.
-		res.Causes = obs.prof.Breakdown([]uint64{res.Cycles})
+		// Snapshot before verification advances the clocks further. Each
+		// core's total is its own clock advance since the barrier (the
+		// cores finish at different clocks; Cycles is the max).
+		totals := make([]uint64, cores)
+		for i := range totals {
+			totals[i] = cl.Plat.Core(i).Clk - startClk
+		}
+		res.Causes = obs.prof.Breakdown(totals)
 	}
 	if cfg.Verify {
-		res.VerifyErr = w.Check(sys, load.Oracle())
+		res.VerifyErr = w.Check(cl.Use(0), load.Oracle())
 	}
 	if c := collector.Load(); c != nil {
 		c.Add(res)

@@ -29,9 +29,9 @@ const CritPathRingEvents = 1 << 21
 // one line per closed interval (see stream.Interval).
 const TelemetryFile = "telemetry.ndjson"
 
-// observer is one run's observation plumbing, shared by Run and
-// RunMulti: the tracer and cycle-attribution profile, attached at the
-// measured-region boundary, and the single reduction of the region's
+// observer is one run's observation plumbing: the tracer and
+// cycle-attribution profile, attached at the measured-region boundary,
+// the WPQ occupancy gauges, and the single reduction of the region's
 // events at its end. Observation-only: nothing here feeds back into
 // the simulation.
 type observer struct {
@@ -78,15 +78,24 @@ func runTracer(cfg RunConfig) *trace.Tracer {
 	return nil
 }
 
-// begin opens the measured region at cycle start. A traced run drops
-// setup's events, restarts the WPQ occupancy window (idempotent if the
-// caller already did) and, when streaming, attaches the binlog sink so
-// the stream holds exactly the measured region. The profile drops
-// setup's charges.
+// gauges reports whether the run measures the WPQ occupancy gauges.
+// A multi-core run always does: the parallel phase's WPQ pressure is
+// the scaling story. A single-core run does only when traced, and
+// otherwise reports them as 0.
+func (o *observer) gauges() bool { return o.tr != nil || o.cfg.Cores > 1 }
+
+// begin opens the measured region at cycle start: it restarts the WPQ
+// occupancy window when the run measures the gauges. A traced run then
+// drops setup's events — after the restart, whose retirement of
+// entries that finished before start emits their drain events — and,
+// when streaming, attaches the binlog sink so the stream holds exactly
+// the measured region. The profile drops setup's charges.
 func (o *observer) begin(topo *pmem.Topology, start uint64) error {
+	if o.gauges() {
+		topo.ResetOccupancy(start)
+	}
 	if o.tr != nil {
 		o.tr.Reset()
-		topo.ResetOccupancy(start)
 		if o.cfg.StreamDir != "" {
 			if err := o.attachStream(); err != nil {
 				return err
@@ -121,19 +130,22 @@ func (o *observer) attachStream() error {
 	return nil
 }
 
-// end closes the measured region at cycle endClk and reduces a traced
-// run into res: the WPQ occupancy gauges, then one pass over the
-// region's events — the ring's, or the binlog's on a streamed run —
-// through the summarizer and, with CritPath, the critical-path
-// analyzer, then the WPQ series. res.Cycles must be set.
+// end closes the measured region at cycle endClk: it fills the WPQ
+// occupancy gauges when the run measures them, then reduces a traced
+// run into res with one pass over the region's events — the ring's, or
+// the binlog's on a streamed run — through the summarizer and, with
+// CritPath, the critical-path analyzer, then the WPQ series.
+// res.Cycles must be set.
 func (o *observer) end(res *Result, topo *pmem.Topology, endClk uint64) error {
+	if o.gauges() {
+		// Retire entries that finished before the region's end so drain
+		// events and the occupancy integral cover the whole interval.
+		topo.QueueDepth(endClk)
+		res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = topo.OccupancyStats()
+	}
 	if o.tr == nil {
 		return nil
 	}
-	// Retire entries that finished before the region's end so drain
-	// events and the occupancy integral cover the whole interval.
-	topo.QueueDepth(endClk)
-	res.Counters.WPQOccMaxBytes, res.Counters.WPQOccAvgBytes = topo.OccupancyStats()
 
 	src, err := o.source()
 	if err != nil {

@@ -3,7 +3,9 @@ package bench
 import (
 	"testing"
 
+	"github.com/persistmem/slpmt"
 	"github.com/persistmem/slpmt/internal/trace"
+	"github.com/persistmem/slpmt/internal/workloads"
 )
 
 // Tracing is observation-only: a traced run must report exactly the
@@ -61,5 +63,37 @@ func TestExternalTracerCapturesFullDetail(t *testing.T) {
 	}
 	if r.Summary.Commits == 0 {
 		t.Error("summary must cover the run's commits")
+	}
+}
+
+// A traced run's ring holds exactly the measured region: no event may
+// be stamped before the region's start cycle (the clock barrier after
+// setup). Restarting the occupancy window retires WPQ entries that
+// finished during setup, so it must come before the ring is cleared.
+func TestTracedRunStartsAtRegion(t *testing.T) {
+	for _, cores := range []int{1, 2, 4} {
+		cfg := RunConfig{Scheme: "SLPMT", Workload: "hashtable", N: 80, ValueSize: 64, Cores: cores}
+		// The region starts where an identical untraced cluster's setup
+		// ends: tracing never changes timing.
+		w := workloads.MustNew(cfg.Workload)
+		cl := slpmt.NewCluster(cores, runOptions(cfg, w, &observer{}))
+		if err := w.Setup(cl.Use(0)); err != nil {
+			t.Fatal(err)
+		}
+		cl.Use(0).FinishEpoch()
+		start := cl.SyncClocks()
+
+		tr := trace.New(1 << 18)
+		cfg.Trace = tr
+		Run(cfg)
+		evs := tr.Events()
+		if len(evs) == 0 || tr.Dropped() != 0 {
+			t.Fatalf("cores=%d: %d events, %d dropped", cores, len(evs), tr.Dropped())
+		}
+		for _, e := range evs {
+			if e.Cycle < start {
+				t.Fatalf("cores=%d: %v event at cycle %d precedes the region start %d", cores, e.Kind, e.Cycle, start)
+			}
+		}
 	}
 }

@@ -410,9 +410,9 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			e.StoreU64(base+mem.Addr(i)*mem.LineSize, 100+uint64(i), isa.Store, isa.Plain)
 		}
 		e.Commit()
-		m.CrashAfter = 0
-		startEvents := m.PersistCount
-		m.CrashAfter = startEvents + crashAt
+		mach := m.Machine()
+		startEvents := mach.PersistTotal
+		mach.CrashAfterTotal = startEvents + crashAt
 
 		func() {
 			defer func() {
@@ -429,7 +429,7 @@ func TestUndoOrderingUnderCrash(t *testing.T) {
 			}
 			e.Commit()
 		}()
-		return crashed, m.PM, m.PersistCount - startEvents
+		return crashed, m.PM, mach.PersistTotal - startEvents
 	}
 
 	_, _, total := run(1 << 30)

@@ -214,8 +214,8 @@ func TestEpochW1MatchesPerTxn(t *testing.T) {
 	if m0.Clk != m1.Clk {
 		t.Errorf("W=1 clock %d != per-txn clock %d", m1.Clk, m0.Clk)
 	}
-	if m0.PersistCount != m1.PersistCount {
-		t.Errorf("W=1 persists %d != per-txn persists %d", m1.PersistCount, m0.PersistCount)
+	if p0, p1 := m0.Machine().PersistTotal, m1.Machine().PersistTotal; p0 != p1 {
+		t.Errorf("W=1 persists %d != per-txn persists %d", p1, p0)
 	}
 	if !reflect.DeepEqual(m0.Stats, m1.Stats) {
 		t.Errorf("W=1 stats differ:\n  per-txn: %+v\n  W=1:     %+v", m0.Stats, m1.Stats)

@@ -46,13 +46,6 @@ type Core struct {
 	prof  *profile.Profile
 	cause profile.Cause
 
-	// PersistCount counts durable-write events; with CrashAfter != 0
-	// the core panics with CrashSignal when the count reaches it —
-	// the crash-injection mechanism (every distinct durable state lies
-	// at a persist-event boundary).
-	PersistCount uint64
-	CrashAfter   uint64
-
 	// asyncDepth > 0 routes persists through the asynchronous path
 	// (posted, no durability-ack wait): eviction handling, log-buffer
 	// spills and lazy drains run inside PushAsync/PopAsync sections.
@@ -418,10 +411,8 @@ func (c *Core) persist(addr mem.Addr, data []byte) {
 		}
 	}
 	dev.SetCore(c.ID)
-	c.PersistCount++
 	c.sh.PersistTotal++
-	if (c.CrashAfter != 0 && c.PersistCount == c.CrashAfter) ||
-		(c.sh.CrashAfterTotal != 0 && c.sh.PersistTotal == c.sh.CrashAfterTotal) {
+	if c.sh.PersistTotal == c.sh.CrashAfterTotal {
 		// The write itself completes (it reached the persist domain);
 		// execution stops immediately after.
 		if c.asyncDepth > 0 {

@@ -21,7 +21,7 @@ type CampaignConfig struct {
 	N         int // operations per run
 	ValueSize int
 	Seed      uint64
-	// Cores runs each point on a multi-core cluster (insert stream
+	// Cores runs each point on a multi-core cluster (operation stream
 	// sharded round-robin, crash point counted against the machine-wide
 	// persist total). 0 or 1 is the single-core campaign; Mixed is
 	// insert-only cross-core and therefore rejected with Cores > 1.
@@ -163,6 +163,9 @@ func cloneOracle(m map[uint64][]byte) map[uint64][]byte {
 // runInfo is the outcome of one (possibly crashed) execution.
 type runInfo struct {
 	img *pmem.Image
+	// setup is the persist-event count after setup (and its epoch
+	// close); total is the count at the end of the run or the crash.
+	setup, total uint64
 	// before is the committed state preceding the in-flight operation;
 	// after additionally includes it. A crash image must match one of
 	// the two (the in-flight transaction either reverted or committed).
@@ -175,70 +178,15 @@ type runInfo struct {
 	crashed    bool
 }
 
-// execute runs the workload, crashing after the given persist event
-// (0 = run to completion).
-func execute(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
-	if cfg.Cores > 1 {
-		return executeMulti(cfg, crashAfter)
-	}
-	w := workloads.MustNew(cfg.Workload)
-	sys := slpmt.New(slpmt.Options{
-		Scheme:             cfg.Scheme,
-		ComputeCyclesPerOp: w.ComputeCost(),
-		CommitWindow:       cfg.CommitWindow,
-		Sockets:            cfg.Sockets,
-	})
-	sys.Mach.CrashAfter = crashAfter
-
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(machine.CrashSignal); !ok {
-				panic(r)
-			}
-			info.crashed = true
-			info.img = sys.Mach.Crash()
-		}
-		totalPersists = sys.Mach.PersistCount
-	}()
-
-	if err := w.Setup(sys); err != nil {
-		return info, 0, fmt.Errorf("setup: %w", err)
-	}
-	// Close setup's epoch (no-op without a window) so crash points —
-	// which start after setup's persist count — never revert it.
-	sys.FinishEpoch()
-	oracle := map[uint64][]byte{}
-	if cfg.CommitWindow > 1 {
-		info.snaps = append(info.snaps, cloneOracle(oracle))
-	}
-	for _, op := range genOps(cfg) {
-		info.before = cloneOracle(oracle)
-		applyOracle(oracle, op)
-		info.after = oracle
-		info.pendingKey = op.key
-		if err := apply(w, sys, op); err != nil {
-			return info, 0, fmt.Errorf("op on key %d: %w", op.key, err)
-		}
-		info.before = info.after
-		info.pendingKey = 0
-		if cfg.CommitWindow > 1 {
-			info.snaps = append(info.snaps, cloneOracle(oracle))
-		}
-	}
-	sys.DrainLazy()
-	info.img = sys.Mach.Crash()
-	return info, sys.Mach.PersistCount, nil
-}
-
-// executeMulti is execute on a Cores-wide cluster: the deterministic
-// insert stream is sharded round-robin across the cores and run under
-// the cluster interleaver, with the crash point counted against the
-// machine-wide persist total (so points land on whichever core issues
-// the Nth persist). The interleaver schedules at transaction
+// execute runs the workload, crashing after the given machine-wide
+// persist event (0 = run to completion). The deterministic operation
+// stream is sharded round-robin across the cores and run under the
+// cluster interleaver, so a crash point lands on whichever core issues
+// the Nth persist. The interleaver schedules at transaction
 // granularity — at most one operation is ever in flight — so the
-// single-core oracle bracket (before/after around the pending op) is
-// sound unchanged.
-func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPersists uint64, err error) {
+// oracle bracket (before/after around the pending op) is sound on any
+// core count.
+func execute(cfg CampaignConfig, crashAfter uint64) (info runInfo, err error) {
 	w := workloads.MustNew(cfg.Workload)
 	cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{
 		Scheme:             cfg.Scheme,
@@ -256,39 +204,31 @@ func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPer
 			info.crashed = true
 			info.img = cl.Plat.Crash()
 		}
-		totalPersists = cl.Plat.PersistTotal
+		info.total = cl.Plat.PersistTotal
 	}()
 
 	if err := w.Setup(cl.Use(0)); err != nil {
-		return info, 0, fmt.Errorf("setup: %w", err)
+		return info, fmt.Errorf("setup: %w", err)
 	}
-	// A grouped close seals every core's epoch, so closing core 0's
-	// (the only one setup ran on) makes all of setup durable.
+	// Close setup's epoch (no-op without a window) so crash points —
+	// which start after setup's persist count — never revert it. A
+	// grouped close seals every core's epoch, so closing core 0's (the
+	// only one setup ran on) makes all of setup durable.
 	cl.Use(0).FinishEpoch()
+	info.setup = cl.Plat.PersistTotal
 	ops := genOps(cfg)
 	oracle := map[uint64][]byte{}
 	if cfg.CommitWindow > 1 {
 		info.snaps = append(info.snaps, cloneOracle(oracle))
 	}
-	next := make([]int, cfg.Cores)
-	for i := range next {
-		next[i] = i
-	}
-	var opErr error
-	cl.Interleave(func(core int, sys *slpmt.System) bool {
-		j := next[core]
-		if j >= len(ops) || opErr != nil {
-			return false
-		}
-		next[core] = j + cfg.Cores
+	err = cl.RoundRobin(len(ops), func(sys *slpmt.System, j int) error {
 		op := ops[j]
 		info.before = cloneOracle(oracle)
 		applyOracle(oracle, op)
 		info.after = oracle
 		info.pendingKey = op.key
 		if err := apply(w, sys, op); err != nil {
-			opErr = fmt.Errorf("op on key %d: %w", op.key, err)
-			return false
+			return fmt.Errorf("op on key %d: %w", op.key, err)
 		}
 		info.before = info.after
 		info.pendingKey = 0
@@ -297,14 +237,14 @@ func executeMulti(cfg CampaignConfig, crashAfter uint64) (info runInfo, totalPer
 			// order here IS the cluster-global commit order.
 			info.snaps = append(info.snaps, cloneOracle(oracle))
 		}
-		return next[core] < len(ops)
+		return nil
 	})
-	if opErr != nil {
-		return info, 0, opErr
+	if err != nil {
+		return info, err
 	}
 	cl.DrainLazy()
 	info.img = cl.Plat.Crash()
-	return info, cl.Plat.PersistTotal, nil
+	return info, nil
 }
 
 // verifyPoint recovers a crash image and verifies it against the
@@ -314,14 +254,7 @@ func verifyPoint(cfg CampaignConfig, info runInfo, res *CampaignResult) error {
 	w := workloads.MustNew(cfg.Workload) // fresh instance: no volatile state survives
 	rec := w.(workloads.Recoverable)
 
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	sockets := cfg.Sockets
-	if sockets < 1 {
-		sockets = 1
-	}
+	cores, sockets := max(cfg.Cores, 1), max(cfg.Sockets, 1)
 	rep, heaps, err := RecoverSharded(info.img, rec, cores, sockets)
 	if err != nil {
 		return err
@@ -374,28 +307,6 @@ func verifyPoint(cfg CampaignConfig, info runInfo, res *CampaignResult) error {
 	return fmt.Errorf("durable state invalid (pending key %d): %v", info.pendingKey, errBefore)
 }
 
-// setupPersists counts the persist events of Setup alone, so the
-// campaign can start crashing after initialization (a crash during
-// setup reverts to an uninitialized image, which applications handle by
-// re-running setup — there is no structure to verify).
-func setupPersists(cfg CampaignConfig) (uint64, error) {
-	w := workloads.MustNew(cfg.Workload)
-	if cfg.Cores > 1 {
-		cl := slpmt.NewCluster(cfg.Cores, slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
-		if err := w.Setup(cl.Use(0)); err != nil {
-			return 0, err
-		}
-		cl.Use(0).FinishEpoch()
-		return cl.Plat.PersistTotal, nil
-	}
-	sys := slpmt.New(slpmt.Options{Scheme: cfg.Scheme, CommitWindow: cfg.CommitWindow, Sockets: cfg.Sockets})
-	if err := w.Setup(sys); err != nil {
-		return 0, err
-	}
-	sys.FinishEpoch()
-	return sys.Mach.PersistCount, nil
-}
-
 // pointOutcome is one crash point's contribution to the campaign.
 type pointOutcome struct {
 	crashed bool
@@ -409,7 +320,7 @@ type pointOutcome struct {
 // and aggregate to the same campaign result.
 func testPoint(cfg CampaignConfig, point uint64) pointOutcome {
 	var out pointOutcome
-	info, _, err := execute(cfg, point)
+	info, err := execute(cfg, point)
 	if err != nil {
 		out.err = fmt.Errorf("crash point %d: %w", point, err)
 		return out
@@ -445,21 +356,20 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return nil, fmt.Errorf("campaign: Mixed streams are not sharded across cores (cores=%d)", cfg.Cores)
 	}
 	// Reference run: count persist events and confirm a clean pass.
-	ref, total, err := execute(cfg, 0)
+	// Crash points start after setup: a crash during setup reverts to
+	// an uninitialized image, which applications handle by re-running
+	// setup — there is no structure to verify.
+	ref, err := execute(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
 	if ref.crashed {
 		return nil, fmt.Errorf("reference run crashed unexpectedly")
 	}
-	setup, err := setupPersists(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &CampaignResult{TotalPersistEvents: total}
+	res := &CampaignResult{TotalPersistEvents: ref.total}
 
 	var points []uint64
-	for p := setup + cfg.Stride; p <= total; p += cfg.Stride {
+	for p := ref.setup + cfg.Stride; p <= ref.total; p += cfg.Stride {
 		if cfg.MaxPoints > 0 && len(points) >= cfg.MaxPoints {
 			break
 		}

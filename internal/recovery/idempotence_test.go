@@ -66,17 +66,13 @@ func TestRecoveryIdempotent(t *testing.T) {
 }
 
 func checkIdempotent(t *testing.T, cfg CampaignConfig) {
-	_, total, err := execute(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup, err := setupPersists(cfg)
+	ref, err := execute(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tested, applied := 0, 0
-	for p := setup + 1; p <= total; p++ {
-		info, _, err := execute(cfg, p)
+	for p := ref.setup + 1; p <= ref.total; p++ {
+		info, err := execute(cfg, p)
 		if err != nil {
 			t.Fatalf("point %d: %v", p, err)
 		}

@@ -237,53 +237,46 @@ func applyLogRegion(img *pmem.Image, layout mem.Layout) (*Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	// Units arrive in stream (ascending) order: redo replays forward,
-	// undo reverts youngest-first.
+	rep.RecordsApplied = applyUnits(img, units)
+	return rep, nil
+}
+
+// applyUnits applies units sorted in application order (see
+// logUnit.less) to the image: redo units replay forward, then undo
+// units revert youngest-first. Returns the record count.
+func applyUnits(img *pmem.Image, units []*logUnit) int {
+	n := 0
 	for _, u := range units {
 		if !u.undo {
-			rep.RecordsApplied += u.apply(img)
+			n += u.apply(img)
 		}
 	}
 	for i := len(units) - 1; i >= 0; i-- {
 		if units[i].undo {
-			rep.RecordsApplied += units[i].apply(img)
+			n += units[i].apply(img)
 		}
 	}
-	return rep, nil
+	return n
 }
 
-// Recover runs the full three-phase recovery for a workload's structure
-// over the image, returning the report. The returned heap is the
-// reconstructed allocator (positioned over the image's layout).
-func Recover(img *pmem.Image, w workloads.Recoverable) (*Report, *txheap.Heap, error) {
-	return RecoverN(img, w, 1)
-}
-
-// RecoverN is Recover for an image taken from a machine with the given
-// core count: every core's private hardware log is parsed against the
-// shared group descriptor, the resulting per-transaction units are
-// merged by their boundary records' cluster-global sequence (legacy
-// streams fall back to (epoch, header seq)), and applied — redo units
-// replay forward in global commit order, undo units revert in reverse
-// global commit order. The global order matters: inside a commit
-// window, transactions on different cores interleave writes to shared
-// lines, and only applying their records in exact global order
-// restores every word to its last group-committed value. The report
-// carries core 0's header fields and the record total across all logs;
-// the heap is rebuilt over the multi-core address map, whose heap
-// region is smaller than the single-core one.
-func RecoverN(img *pmem.Image, w workloads.Recoverable, cores int) (*Report, *txheap.Heap, error) {
-	rep, heaps, err := RecoverSharded(img, w, cores, 1)
-	if err != nil {
-		return rep, nil, err
-	}
-	return rep, heaps[0], nil
-}
-
-// RecoverSharded is RecoverN for an image taken from a multi-socket
-// machine with a sharded per-core heap: log application and the
-// structure fix-up are identical (the log regions do not move), but the
-// allocator is rebuilt as the per-core arena handles of the sharded
+// RecoverSharded runs the full three-phase recovery for a workload's
+// structure over an image taken from a machine with the given core and
+// socket counts, returning the report and the reconstructed allocator.
+//
+// Every core's private hardware log is parsed against the shared group
+// descriptor, the resulting per-transaction units are merged by their
+// boundary records' cluster-global sequence (legacy streams fall back
+// to (epoch, header seq)), and applied — redo units replay forward in
+// global commit order, undo units revert in reverse global commit
+// order. The global order matters: inside a commit window,
+// transactions on different cores interleave writes to shared lines,
+// and only applying their records in exact global order restores every
+// word to its last group-committed value. The report carries core 0's
+// header fields and the record total across all logs.
+//
+// The heap is rebuilt over the machine's address map (a multi-core
+// heap region is smaller than the single-core one). On a multi-socket
+// machine it is rebuilt as the per-core arena handles of the sharded
 // layout, each arena reconciling its own reachable extents with the
 // durable prefix. Returns one heap handle per core (all sharing the
 // rebuilt spans); with sockets <= 1 the single classic heap is returned
@@ -311,18 +304,7 @@ func RecoverSharded(img *pmem.Image, w workloads.Recoverable, cores, sockets int
 		units = append(units, us...)
 	}
 	sort.SliceStable(units, func(i, j int) bool { return units[i].less(units[j]) })
-	applied := 0
-	for _, u := range units {
-		if !u.undo {
-			applied += u.apply(img)
-		}
-	}
-	for i := len(units) - 1; i >= 0; i-- {
-		if units[i].undo {
-			applied += units[i].apply(img)
-		}
-	}
-	rep.RecordsApplied = applied
+	rep.RecordsApplied = applyUnits(img, units)
 	if err := w.Recover(img); err != nil {
 		return rep, nil, fmt.Errorf("recovery: structure fix-up: %w", err)
 	}
